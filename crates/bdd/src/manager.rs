@@ -368,7 +368,7 @@ fn cache_hash_raw(op: u32, f: u32, g: u32, h: u32) -> u64 {
 /// increments on paths that already hash into the unique/computed tables, so
 /// keeping them always-on costs nothing measurable; the telemetry layer in
 /// `fmaverify::trace` surfaces them per case.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BddStats {
     /// Number of nodes currently allocated (live arena slots, including dead
     /// nodes not yet collected but excluding free-list slots).

@@ -9,7 +9,7 @@
 //! redundancy removal, showing that the multiplier collapses; and we verify
 //! the add instruction end to end without isolation.
 
-use fmaverify::{summarize, HarnessOptions, Session, ToJson};
+use fmaverify::{summarize, HarnessOptions, RunConfig, Session, ToJson};
 use fmaverify_bench::{banner, bench_config, compare, dur, maybe_write_json, run_config_from_env};
 use fmaverify_fpu::{FpuInputs, FpuOp, MultiplierMode, PipelineMode};
 use fmaverify_netlist::{sat_sweep, Netlist, SweepOptions};
@@ -94,10 +94,12 @@ fn main() {
 
     // End-to-end add verification without isolation.
     let report = Session::new(&cfg)
-        .configure(run_config_from_env("add_constprop"))
-        .harness_options(HarnessOptions {
-            isolate_multiplier: false,
-            ..HarnessOptions::default()
+        .configure(RunConfig {
+            harness: HarnessOptions {
+                isolate_multiplier: false,
+                ..HarnessOptions::default()
+            },
+            ..run_config_from_env("add_constprop")
         })
         .run(FpuOp::Add);
     println!("{}", summarize(&report));

@@ -9,7 +9,7 @@
 //! similarities between the denormalization shifters in the real and the
 //! reference FPU."
 
-use fmaverify::{summarize, EngineKind, JsonValue, Session, ToJson};
+use fmaverify::{summarize, EngineKind, JsonValue, RunConfig, SchedulePolicy, Session, ToJson};
 use fmaverify_bench::{banner, bench_config, compare, dur, maybe_write_json, run_config_from_env};
 use fmaverify_fpu::FpuOp;
 
@@ -19,15 +19,21 @@ fn main() {
         "§5: multiply verified by one SAT run, no case split",
     );
     let cfg = bench_config();
-    let session = Session::new(&cfg).configure(run_config_from_env("mult_sat"));
+    let config = run_config_from_env("mult_sat");
+    let session = Session::new(&cfg).configure(config.clone());
 
     // Without sweeping.
     let plain = session.run(FpuOp::Mul);
     println!("plain:   {}", summarize(&plain));
     assert!(plain.all_hold());
 
-    // With redundancy removal first (the paper's configuration).
-    let swept = session.clone().sweep_before_sat(true).run(FpuOp::Mul);
+    // With redundancy removal first (the paper's configuration), sharing
+    // the session's proof cache.
+    let swept_policy = SchedulePolicy::from_config(&RunConfig {
+        sweep_before_sat: true,
+        ..config
+    });
+    let swept = session.clone().policy(swept_policy).run(FpuOp::Mul);
     println!("swept:   {}", summarize(&swept));
     assert!(swept.all_hold());
 

@@ -351,31 +351,6 @@ fn intern_engine_name(name: &str) -> &'static str {
     }
 }
 
-fn engine_kind_name(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::Bdd => "bdd",
-        EngineKind::BddSequential => "bdd-seq",
-        EngineKind::Sat => "sat",
-    }
-}
-
-fn parse_engine_kind(text: &str) -> Option<EngineKind> {
-    match text {
-        "bdd" => Some(EngineKind::Bdd),
-        "bdd-seq" => Some(EngineKind::BddSequential),
-        "sat" => Some(EngineKind::Sat),
-        _ => None,
-    }
-}
-
-fn parse_verdict(text: &str) -> Option<Verdict> {
-    match text {
-        "holds" => Some(Verdict::Holds),
-        "fails" => Some(Verdict::Fails),
-        _ => None,
-    }
-}
-
 fn duration_json(d: Duration) -> JsonValue {
     JsonValue::Number(d.as_secs_f64())
 }
@@ -463,10 +438,7 @@ fn cex_from_json(v: &JsonValue) -> Option<CounterExample> {
 
 fn attempt_to_json(attempt: &CaseAttempt) -> JsonValue {
     JsonValue::object(vec![
-        (
-            "engine",
-            JsonValue::string(engine_kind_name(attempt.engine)),
-        ),
+        ("engine", attempt.engine.to_json()),
         ("engine_name", JsonValue::string(attempt.engine_name)),
         (
             "node_limit",
@@ -482,15 +454,11 @@ fn attempt_to_json(attempt: &CaseAttempt) -> JsonValue {
 }
 
 fn attempt_from_json(v: &JsonValue) -> Option<CaseAttempt> {
-    let verdict = match v.get("verdict")?.as_str()? {
-        "holds" => Verdict::Holds,
-        "fails" => Verdict::Fails,
-        "budget-exceeded" => Verdict::BudgetExceeded,
-        "error" => Verdict::Error,
-        _ => return None,
-    };
+    // A canceled case never ran an attempt.
+    let verdict =
+        Verdict::from_label(v.get("verdict")?.as_str()?).filter(|v| *v != Verdict::Canceled)?;
     Some(CaseAttempt {
-        engine: parse_engine_kind(v.get("engine")?.as_str()?)?,
+        engine: EngineKind::from_label(v.get("engine")?.as_str()?)?,
         engine_name: intern_engine_name(v.get("engine_name")?.as_str()?),
         budget: EngineBudget {
             node_limit: v
@@ -510,7 +478,7 @@ fn render_entry(fp: &str, entry: &CachedCase) -> String {
         ("v", JsonValue::int(CACHE_SCHEMA_VERSION)),
         ("fp", JsonValue::string(fp)),
         ("verdict", entry.verdict.to_json()),
-        ("engine", JsonValue::string(engine_kind_name(entry.engine))),
+        ("engine", entry.engine.to_json()),
         ("engine_name", JsonValue::string(entry.engine_name)),
         (
             "counterexample",
@@ -539,7 +507,9 @@ fn parse_entry(line: &str) -> Option<(String, CachedCase)> {
     if fp.len() != 64 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    let verdict = parse_verdict(v.get("verdict")?.as_str()?)?;
+    // Only definite verdicts are memoized.
+    let verdict = Verdict::from_label(v.get("verdict")?.as_str()?)
+        .filter(|v| matches!(v, Verdict::Holds | Verdict::Fails))?;
     let counterexample = match v.get("counterexample") {
         None | Some(JsonValue::Null) => None,
         Some(c) => Some(cex_from_json(c)?),
@@ -560,7 +530,7 @@ fn parse_entry(line: &str) -> Option<(String, CachedCase)> {
         fp.to_string(),
         CachedCase {
             verdict,
-            engine: parse_engine_kind(v.get("engine")?.as_str()?)?,
+            engine: EngineKind::from_label(v.get("engine")?.as_str()?)?,
             engine_name: intern_engine_name(v.get("engine_name")?.as_str()?),
             counterexample,
             stats: v.get("stats").map(stats_from_json).unwrap_or_default(),

@@ -46,7 +46,7 @@ use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::mutate::{inject_fault, Mutation, MutationKind};
-use crate::runner::{CancellationToken, RunOptions, Verdict};
+use crate::runner::{CancellationToken, Verdict};
 use crate::session::Session;
 use crate::trace::{Counter, SpanKind};
 
@@ -430,17 +430,14 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     let kinds = MutationKind::ALL;
     let mutant_space = targets.len() * kinds.len();
 
-    // One option set (and thus one shared proof cache) for the whole
-    // campaign; each mutant gets a fresh cancellation token because a kill
-    // trips the token permanently.
-    let mut options = run.to_run_options();
-    options.stop_on_failure = true;
-    let session_for = |options: &RunOptions| {
-        Session::new(cfg).options(RunOptions {
-            cancel: CancellationToken::new(),
-            ..options.clone()
-        })
-    };
+    // One session (and thus one proof cache, opened here) for the whole
+    // campaign; each run clones it with a fresh cancellation token because
+    // a kill trips the token permanently.
+    let session = Session::new(cfg).configure(RunConfig {
+        stop_on_failure: true,
+        ..run.clone()
+    });
+    let fresh_session = || session.clone().cancel(CancellationToken::new());
 
     let mut span = run
         .tracer
@@ -449,8 +446,7 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     // Clean baseline: the design must verify, and the shared cache is
     // seeded so mutants only re-prove cases their fault can reach.
     let clean_view = make_view(&base, base.netlist.clone(), &probe_names, pipeline);
-    let clean =
-        session_for(&options).run_prepared(&clean_view.harness, op, &clean_view.constraints);
+    let clean = fresh_session().run_prepared(&clean_view.harness, op, &clean_view.constraints);
     assert!(
         clean.iter().all(|r| r.verdict == Verdict::Holds),
         "clean design failed verification; a campaign against a broken design measures nothing"
@@ -486,7 +482,7 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         }
 
         let mutant_start = Instant::now();
-        let results = session_for(&options).run_prepared(&view.harness, op, &view.constraints);
+        let results = fresh_session().run_prepared(&view.harness, op, &view.constraints);
         let status = if let Some(fail) = results.iter().find(|r| r.verdict == Verdict::Fails) {
             MutantStatus::Killed {
                 case: fail.case,

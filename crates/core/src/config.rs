@@ -1,11 +1,9 @@
 //! The typed run configuration: every tuning knob in one struct.
 //!
-//! Earlier revisions configured runs through a soup of ad-hoc environment
-//! variables spread across twelve bench binaries (`FMAVERIFY_NODE_LIMIT`
-//! here, a hand-parsed thread count there). [`RunConfig`] collects the
-//! engine budgets, scheduler settings, telemetry pipeline and proof-cache
-//! mode in one plain-data struct with a single environment reader,
-//! [`RunConfig::from_env`]; [`crate::Session::configure`] applies it.
+//! [`RunConfig`] holds the engine budgets, scheduler settings, telemetry
+//! pipeline and proof-cache mode in one plain-data struct with a single
+//! environment reader, [`RunConfig::from_env`];
+//! [`crate::Session::configure`] applies it.
 //!
 //! ```no_run
 //! use fmaverify::prelude::*;
@@ -21,9 +19,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::cache::{CacheMode, ProofCache};
-use crate::engine_bdd::Minimize;
+use crate::engine_bdd::{BddEngineOptions, Minimize};
 use crate::harness::HarnessOptions;
-use crate::runner::{CancellationToken, RunOptions};
 use crate::trace::Tracer;
 
 /// The conventional on-disk location of the proof cache.
@@ -75,18 +72,18 @@ pub struct RunConfig {
 
 impl Default for RunConfig {
     fn default() -> Self {
-        let defaults = RunOptions::default();
+        let bdd = BddEngineOptions::default();
         RunConfig {
-            threads: defaults.threads,
-            node_budget: defaults.node_budget,
-            conflict_budget: defaults.conflict_budget,
-            sweep_before_sat: defaults.sweep_before_sat,
-            gc_threshold: defaults.gc_threshold,
-            bdd_cache_size: defaults.bdd_cache_size,
-            escalate: defaults.escalate,
-            stop_on_failure: defaults.stop_on_failure,
-            minimize: defaults.minimize,
-            harness: defaults.harness,
+            threads: 0,
+            node_budget: None,
+            conflict_budget: None,
+            sweep_before_sat: false,
+            gc_threshold: bdd.gc_threshold,
+            bdd_cache_size: bdd.cache_size,
+            escalate: true,
+            stop_on_failure: false,
+            minimize: bdd.minimize,
+            harness: HarnessOptions::default(),
             tracer: Tracer::disabled(),
             cache_mode: CacheMode::Off,
             cache_dir: PathBuf::from(DEFAULT_CACHE_DIR),
@@ -165,26 +162,6 @@ impl RunConfig {
             .is_enabled()
             .then(|| Arc::new(ProofCache::open(&self.cache_dir, self.cache_mode)))
     }
-
-    /// Lowers the configuration into the scheduler's [`RunOptions`],
-    /// opening the proof cache in the process.
-    pub fn to_run_options(&self) -> RunOptions {
-        RunOptions {
-            harness: self.harness.clone(),
-            minimize: self.minimize,
-            threads: self.threads,
-            sweep_before_sat: self.sweep_before_sat,
-            gc_threshold: self.gc_threshold,
-            bdd_cache_size: self.bdd_cache_size,
-            node_budget: self.node_budget,
-            conflict_budget: self.conflict_budget,
-            escalate: self.escalate,
-            stop_on_failure: self.stop_on_failure,
-            cancel: CancellationToken::new(),
-            tracer: self.tracer.clone(),
-            cache: self.open_cache(),
-        }
-    }
 }
 
 fn env_usize(name: &str) -> Option<usize> {
@@ -211,47 +188,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_run_options_default() {
-        let rc = RunConfig::default();
-        let ro = RunOptions::default();
-        assert_eq!(rc.threads, ro.threads);
-        assert_eq!(rc.node_budget, ro.node_budget);
-        assert_eq!(rc.conflict_budget, ro.conflict_budget);
-        assert_eq!(rc.sweep_before_sat, ro.sweep_before_sat);
-        assert_eq!(rc.gc_threshold, ro.gc_threshold);
-        assert_eq!(rc.bdd_cache_size, ro.bdd_cache_size);
-        assert_eq!(rc.escalate, ro.escalate);
-        assert_eq!(rc.cache_mode, CacheMode::Off);
-        assert!(rc.open_cache().is_none());
-    }
-
-    #[test]
-    fn lowering_carries_every_knob() {
-        let rc = RunConfig {
-            threads: 3,
-            node_budget: Some(1234),
-            conflict_budget: Some(99),
-            sweep_before_sat: true,
-            gc_threshold: 777,
-            bdd_cache_size: 1 << 14,
-            escalate: false,
-            stop_on_failure: true,
-            ..RunConfig::default()
-        };
-        let ro = rc.to_run_options();
-        assert_eq!(ro.threads, 3);
-        assert_eq!(ro.node_budget, Some(1234));
-        assert_eq!(ro.conflict_budget, Some(99));
-        assert!(ro.sweep_before_sat);
-        assert_eq!(ro.gc_threshold, 777);
-        assert_eq!(ro.bdd_cache_size, 1 << 14);
-        assert!(!ro.escalate);
-        assert!(ro.stop_on_failure);
-        assert!(ro.cache.is_none());
-    }
-
-    #[test]
     fn cache_mode_builder_opens_cache() {
+        assert!(RunConfig::default().open_cache().is_none());
         let dir =
             std::env::temp_dir().join(format!("fmaverify-config-test-{}", std::process::id()));
         let rc = RunConfig {
@@ -259,8 +197,7 @@ mod tests {
             ..RunConfig::default()
         }
         .cache(CacheMode::ReadWrite);
-        let ro = rc.to_run_options();
-        let cache = ro.cache.expect("cache opened");
+        let cache = rc.open_cache().expect("cache opened");
         assert_eq!(cache.mode(), CacheMode::ReadWrite);
         assert_eq!(cache.dir(), dir.as_path());
         // Opening is lazy about the directory: nothing is created until a

@@ -15,15 +15,13 @@
 //! verdict.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 use fmaverify_fpu::FpuOp;
 use fmaverify_netlist::Signal;
 
 use crate::cases::CaseId;
-use crate::engine_bdd::{check_miter_bdd_parts, BddEngineOptions, Minimize};
-use crate::engine_bdd_seq::check_miter_bdd_sequential;
+use crate::engine_bdd::{check_miter_bdd_sequential, BddEngineOptions, BddOutcome, Minimize};
 use crate::engine_sat::{check_miter_sat_parts, SatEngineOptions};
 use crate::error::Error;
 use crate::harness::Harness;
@@ -39,6 +37,24 @@ pub enum EngineKind {
     BddSequential,
     /// Structural SAT on the (optionally swept) cone.
     Sat,
+}
+
+impl EngineKind {
+    /// The stable name used in results JSON and proof-cache shards.
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineKind::Bdd => "bdd",
+            EngineKind::BddSequential => "bdd-seq",
+            EngineKind::Sat => "sat",
+        }
+    }
+
+    /// The kind named by [`EngineKind::label`].
+    pub fn from_label(label: &str) -> Option<EngineKind> {
+        [EngineKind::Bdd, EngineKind::BddSequential, EngineKind::Sat]
+            .into_iter()
+            .find(|k| k.label() == label)
+    }
 }
 
 /// Resource limits for one engine attempt. `Default` is unlimited.
@@ -154,8 +170,8 @@ pub(crate) fn case_delta(case: CaseId) -> Option<i64> {
     }
 }
 
-/// BDD symbolic simulation with care-set minimization
-/// (wraps [`check_miter_bdd_parts`]).
+/// BDD symbolic simulation with care-set minimization of a combinational
+/// harness (cycle 0 of [`check_miter_bdd_sequential`]).
 #[derive(Clone, Debug)]
 pub struct BddCaseEngine {
     /// Minimization strategy.
@@ -168,11 +184,39 @@ pub struct BddCaseEngine {
 
 impl Default for BddCaseEngine {
     fn default() -> Self {
+        let d = BddEngineOptions::default();
         BddCaseEngine {
-            minimize: Minimize::Constrain,
-            gc_threshold: 2_000_000,
-            cache_size: fmaverify_bdd::DEFAULT_CACHE_SIZE,
+            minimize: d.minimize,
+            gc_threshold: d.gc_threshold,
+            cache_size: d.cache_size,
         }
+    }
+}
+
+impl BddCaseEngine {
+    /// Simulates the harness with its miter sampled at `check_cycle`.
+    fn check_at(
+        &self,
+        harness: &Harness,
+        case: CaseId,
+        constraint_parts: &[Signal],
+        budget: &EngineBudget,
+        check_cycle: usize,
+    ) -> EngineOutcome {
+        let out = check_miter_bdd_sequential(
+            &harness.netlist,
+            harness.miter,
+            constraint_parts,
+            check_cycle,
+            &BddEngineOptions {
+                minimize: self.minimize,
+                order: paper_order(harness, case_delta(case)),
+                gc_threshold: self.gc_threshold,
+                node_limit: budget.node_limit,
+                cache_size: self.cache_size,
+            },
+        );
+        bdd_outcome_to_engine(out)
     }
 }
 
@@ -197,48 +241,14 @@ impl CaseEngine for BddCaseEngine {
         constraint_parts: &[Signal],
         budget: &EngineBudget,
     ) -> EngineOutcome {
-        let order = paper_order(harness, case_delta(case));
-        let out = check_miter_bdd_parts(
-            &harness.netlist,
-            harness.miter,
-            constraint_parts,
-            &BddEngineOptions {
-                minimize: self.minimize,
-                order,
-                gc_threshold: self.gc_threshold,
-                node_limit: budget.node_limit,
-                cache_size: self.cache_size,
-            },
-        );
-        bdd_outcome_to_engine(out)
+        self.check_at(harness, case, constraint_parts, budget, 0)
     }
 }
 
-/// Cycle-accurate BDD symbolic simulation for pipelined harnesses
-/// (wraps [`check_miter_bdd_sequential`]).
-#[derive(Clone, Debug)]
-pub struct BddSeqCaseEngine {
-    /// Minimization strategy.
-    pub minimize: Minimize,
-    /// Garbage-collection threshold for the node arena.
-    pub gc_threshold: usize,
-    /// Computed-cache size cap (entries) for each case's manager.
-    pub cache_size: usize,
-    /// Cycle at which the miter is sampled; `None` derives it from the
-    /// harness's pipeline latency.
-    pub check_cycle: Option<usize>,
-}
-
-impl Default for BddSeqCaseEngine {
-    fn default() -> Self {
-        BddSeqCaseEngine {
-            minimize: Minimize::Constrain,
-            gc_threshold: 2_000_000,
-            cache_size: fmaverify_bdd::DEFAULT_CACHE_SIZE,
-            check_cycle: None,
-        }
-    }
-}
+/// Cycle-accurate BDD symbolic simulation of a pipelined harness: the same
+/// simulation, with the miter sampled at the pipeline latency.
+#[derive(Clone, Debug, Default)]
+pub struct BddSeqCaseEngine(pub BddCaseEngine);
 
 impl CaseEngine for BddSeqCaseEngine {
     fn kind(&self) -> EngineKind {
@@ -257,24 +267,9 @@ impl CaseEngine for BddSeqCaseEngine {
         constraint_parts: &[Signal],
         budget: &EngineBudget,
     ) -> EngineOutcome {
-        let order = paper_order(harness, case_delta(case));
-        let check_cycle = self
-            .check_cycle
-            .unwrap_or_else(|| harness.options().pipeline.latency());
-        let out = check_miter_bdd_sequential(
-            &harness.netlist,
-            harness.miter,
-            constraint_parts,
-            check_cycle,
-            &BddEngineOptions {
-                minimize: self.minimize,
-                order,
-                gc_threshold: self.gc_threshold,
-                node_limit: budget.node_limit,
-                cache_size: self.cache_size,
-            },
-        );
-        bdd_outcome_to_engine(out)
+        let latency = harness.options().pipeline.latency();
+        self.0
+            .check_at(harness, case, constraint_parts, budget, latency)
     }
 }
 
@@ -348,7 +343,7 @@ impl CaseEngine for SatCaseEngine {
     }
 }
 
-fn bdd_outcome_to_engine(out: crate::engine_bdd::BddOutcome) -> EngineOutcome {
+fn bdd_outcome_to_engine(out: BddOutcome) -> EngineOutcome {
     let m = out.manager_stats;
     let mut metrics = MetricSet::new();
     metrics.add(Counter::BddIteCalls, m.ite_calls);
@@ -382,26 +377,4 @@ fn bdd_outcome_to_engine(out: crate::engine_bdd::BddOutcome) -> EngineOutcome {
         }
     };
     EngineOutcome { verdict, stats }
-}
-
-/// Convenience constructors for shared engine handles.
-impl BddCaseEngine {
-    /// Boxes the engine behind an [`Arc`] for use in a schedule ladder.
-    pub fn shared(self) -> Arc<dyn CaseEngine> {
-        Arc::new(self)
-    }
-}
-
-impl BddSeqCaseEngine {
-    /// Boxes the engine behind an [`Arc`] for use in a schedule ladder.
-    pub fn shared(self) -> Arc<dyn CaseEngine> {
-        Arc::new(self)
-    }
-}
-
-impl SatCaseEngine {
-    /// Boxes the engine behind an [`Arc`] for use in a schedule ladder.
-    pub fn shared(self) -> Arc<dyn CaseEngine> {
-        Arc::new(self)
-    }
 }

@@ -1,10 +1,17 @@
-//! BDD-based symbolic simulation of a miter under a care-set constraint.
+//! BDD symbolic simulation of a miter under a care-set constraint.
 //!
-//! The engine assigns a BDD variable to every primary input following a
-//! static order (the paper's orders put operand exponents first and
-//! interleave the fractions with the `S'`,`T'` pseudo-inputs), evaluates the
-//! constraint cone to obtain the care set, then sweeps the miter cone in
-//! topological order with care-set minimization applied:
+//! Paper §5: "The BDD-based symbolic simulator operates directly upon the
+//! sequential netlist" — no unfolding. The engine assigns a BDD variable to
+//! every primary input following a static order (the paper's orders put
+//! operand exponents first and interleave the fractions with the `S'`,`T'`
+//! pseudo-inputs) and evaluates the constraint cone to obtain the care set.
+//! It then steps the netlist cycle by cycle: each register holds a BDD over
+//! the input variables, starting from its reset value, and every cycle
+//! evaluates the next-state functions in topological order with care-set
+//! minimization applied. The operands are held constant (the driver issues
+//! one instruction into an empty FPU), so the same variables serve every
+//! cycle, and the miter is examined at the result-valid cycle. A
+//! combinational check is the same simulation at cycle 0.
 //!
 //! * [`Minimize::Constrain`] — the Coudert–Madre generalized cofactor.
 //!   Because `constrain` distributes over gates, applying it at the inputs
@@ -21,7 +28,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use fmaverify_bdd::{Bdd, BddManager, BddVar};
-use fmaverify_netlist::{Netlist, Node, NodeId, Signal};
+use fmaverify_netlist::{Netlist, Node, Signal};
 
 /// Care-set minimization strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,21 +100,14 @@ pub struct BddOutcome {
     pub manager_stats: fmaverify_bdd::BddStats,
 }
 
-/// Checks that `miter` is false everywhere on the care set defined by
-/// `care` (a constraint signal of the same netlist).
-pub fn check_miter_bdd(
-    netlist: &Netlist,
-    miter: Signal,
-    care: Signal,
-    opts: &BddEngineOptions,
-) -> BddOutcome {
-    check_miter_bdd_parts(netlist, miter, &[care], opts)
-}
-
-/// Like [`check_miter_bdd`], but the care set is given as a conjunction of
-/// parts. The parts are conjoined progressively, cheapest cone first, with
-/// the accumulated care set minimizing the evaluation of the next part —
-/// this is how the cheap `C_δ` constraint bounds the BDDs built for the
+/// Checks that `miter` is false everywhere on the care set, given as a
+/// conjunction of `care_parts` (constraint signals of the same netlist),
+/// with every register at its reset value: the combinational check, cycle
+/// 0 of [`check_miter_bdd_sequential`].
+///
+/// The parts are conjoined progressively, cheapest cone first, with the
+/// accumulated care set minimizing the evaluation of the next part — this
+/// is how the cheap `C_δ` constraint bounds the BDDs built for the
 /// expensive `C_sha` cone (the reference FPU's aligner, adder and
 /// leading-zero counter).
 pub fn check_miter_bdd_parts(
@@ -116,268 +116,292 @@ pub fn check_miter_bdd_parts(
     care_parts: &[Signal],
     opts: &BddEngineOptions,
 ) -> BddOutcome {
-    let start = Instant::now();
-    let mut mgr = BddManager::with_cache_size(opts.cache_size);
+    check_miter_bdd_sequential(netlist, miter, care_parts, 0, opts)
+}
 
-    // Assign variables per the requested order.
-    let mut var_of_node: HashMap<u32, BddVar> = HashMap::new();
-    let mut input_name_of_var: Vec<(BddVar, String)> = Vec::new();
-    for sig in &opts.order {
-        assert!(
-            !sig.is_inverted(),
-            "order entries must be non-inverted input signals"
-        );
-        let id = sig.node().index() as u32;
-        if var_of_node.contains_key(&id) {
-            continue;
-        }
-        let v = mgr.new_var();
-        var_of_node.insert(id, v);
-        if let Node::Input { name } = netlist.node(sig.node()) {
-            input_name_of_var.push((v, name.clone()));
-        } else {
-            panic!("order entry {sig:?} is not a primary input");
+/// Checks `miter AND care == false` at cycle `check_cycle` of the sequential
+/// netlist by stepping BDDs through the registers (inputs held).
+///
+/// After cycle 0 the care parts must be combinational functions of the
+/// primary inputs (as the paper's constraints are: operand exponents and
+/// the reference FPU's `sha`, whose cone contains no registers).
+///
+/// # Panics
+/// Panics if `check_cycle > 0` and a care part's cone contains a register,
+/// or if an order entry is not a non-inverted primary input.
+pub fn check_miter_bdd_sequential(
+    netlist: &Netlist,
+    miter: Signal,
+    care_parts: &[Signal],
+    check_cycle: usize,
+    opts: &BddEngineOptions,
+) -> BddOutcome {
+    if check_cycle > 0 {
+        netlist.assert_closed();
+        for part in care_parts {
+            let cone = netlist.comb_cone(&[*part]);
+            assert!(
+                netlist.latches().iter().all(|l| !cone[l.index()]),
+                "care part {part:?} depends on register state"
+            );
         }
     }
-    for &id in netlist.inputs() {
-        let key = id.index() as u32;
-        if let std::collections::hash_map::Entry::Vacant(e) = var_of_node.entry(key) {
-            let v = mgr.new_var();
-            e.insert(v);
-            if let Node::Input { name } = netlist.node(id) {
-                input_name_of_var.push((v, name.clone()));
-            }
-        }
-    }
-    // Latches evaluate to their reset values in a combinational check.
-    let latch_value = |netlist: &Netlist, id: NodeId| -> Bdd {
-        match netlist.node(id) {
-            Node::Latch { init, .. } => {
-                if *init {
-                    Bdd::TRUE
-                } else {
-                    Bdd::FALSE
-                }
-            }
-            _ => unreachable!(),
-        }
-    };
+    let mut sim = Simulation::new(netlist, opts);
+    let latches = netlist.latches();
+    let mut state: Vec<Bdd> = latches
+        .iter()
+        .map(|&l| match netlist.node(l) {
+            Node::Latch { init: true, .. } => Bdd::TRUE,
+            _ => Bdd::FALSE,
+        })
+        .collect();
 
-    // Pass 1: evaluate the care parts, cheapest cone first, each one
-    // minimized against the conjunction of the previous parts. Because
+    // Care set: evaluate the parts cheapest cone first, each one minimized
+    // against the conjunction of the previous parts. Because
     // `constrain(c2, c1) AND c1 == c2 AND c1`, the accumulated care set is
     // exact while the intermediate BDDs stay bounded.
     let mut parts: Vec<Signal> = care_parts.to_vec();
     parts.sort_by_key(|&p| netlist.cone_size(&[p]));
-    let mut care_bdd = Bdd::TRUE;
-    let abort_outcome = |mgr: &BddManager, care_nodes: usize, start: Instant| BddOutcome {
-        holds: false,
-        counterexample: None,
-        peak_nodes: mgr.stats().peak_allocated,
-        final_nodes: mgr.stats().allocated,
-        care_nodes,
-        duration: start.elapsed(),
-        aborted: true,
-        manager_stats: mgr.stats(),
-    };
     for part in parts {
-        let cone = netlist.comb_cone(&[part]);
+        let Some(values) = sim.eval(&[part], &state, false) else {
+            return sim.aborted(0);
+        };
+        let part_bdd = edge(&values, part);
+        drop(values);
+        sim.care = sim.mgr.and(sim.care, part_bdd);
+        if sim.care.is_false() {
+            // Empty care set: the case is trivially discharged (the
+            // paper's C_sha/rest case).
+            let final_nodes = sim.mgr.reachable_count(&[sim.care]);
+            return sim.outcome(true, final_nodes, 1);
+        }
+        sim.care = sim.mgr.gc(&[sim.care])[0];
+    }
+    let care_nodes = sim.mgr.reachable_count(&[sim.care]);
+
+    // Step the registers to the check cycle, then evaluate the miter.
+    let next: Vec<Signal> = latches
+        .iter()
+        .map(|&l| match netlist.node(l) {
+            Node::Latch { next, .. } => *next,
+            _ => unreachable!("latches() returned a non-latch node"),
+        })
+        .collect();
+    for _ in 0..check_cycle {
+        let Some(values) = sim.eval(&next, &state, true) else {
+            return sim.aborted(care_nodes);
+        };
+        state = next.iter().map(|&s| edge(&values, s)).collect();
+    }
+    let Some(values) = sim.eval(&[miter], &state, true) else {
+        return sim.aborted(care_nodes);
+    };
+    let bad = sim.mgr.and(edge(&values, miter), sim.care);
+    let final_nodes = sim.mgr.reachable_count(&[bad, sim.care]);
+    BddOutcome {
+        counterexample: (!bad.is_false()).then(|| sim.counterexample(bad)),
+        ..sim.outcome(bad.is_false(), final_nodes, care_nodes)
+    }
+}
+
+/// The state of one symbolic simulation: the manager, the input variables,
+/// the accumulated care set and the garbage-collection trigger.
+struct Simulation<'a> {
+    netlist: &'a Netlist,
+    opts: &'a BddEngineOptions,
+    mgr: BddManager,
+    /// The variable of each primary input, by node index.
+    var_of_node: Vec<Option<BddVar>>,
+    /// Input names in variable order, for counterexamples.
+    input_names: Vec<(BddVar, String)>,
+    care: Bdd,
+    next_gc: usize,
+    start: Instant,
+}
+
+impl<'a> Simulation<'a> {
+    /// A manager with one variable per input: the order entries first, the
+    /// remaining inputs appended in creation order.
+    fn new(netlist: &'a Netlist, opts: &'a BddEngineOptions) -> Self {
+        let start = Instant::now();
+        let mut mgr = BddManager::with_cache_size(opts.cache_size);
+        let mut var_of_node = vec![None; netlist.num_nodes()];
+        let mut input_names = Vec::new();
+        let ordered = opts.order.iter().map(|sig| {
+            assert!(
+                !sig.is_inverted(),
+                "order entries must be non-inverted input signals"
+            );
+            sig.node()
+        });
+        for id in ordered.chain(netlist.inputs().iter().copied()) {
+            if var_of_node[id.index()].is_some() {
+                continue;
+            }
+            let Node::Input { name } = netlist.node(id) else {
+                panic!("order entry {id:?} is not a primary input");
+            };
+            let v = mgr.new_var();
+            var_of_node[id.index()] = Some(v);
+            input_names.push((v, name.clone()));
+        }
+        Simulation {
+            netlist,
+            opts,
+            mgr,
+            var_of_node,
+            input_names,
+            care: Bdd::TRUE,
+            next_gc: opts.gc_threshold,
+            start,
+        }
+    }
+
+    /// Evaluates the combinational cones of `roots` with the registers
+    /// holding `state` (one BDD per latch, in [`Netlist::latches`] order),
+    /// minimized against the care set. Returns the node values, the roots'
+    /// among them, or `None` when the node limit aborts the run.
+    ///
+    /// With `collect` (the register and miter passes) an operand is released
+    /// after its last use and the arena is collected under the dead-fraction
+    /// trigger, the node limit checked after each collection. Without it
+    /// (a care part, whose values all stay live until it is conjoined) the
+    /// node limit is checked before every gate.
+    fn eval(&mut self, roots: &[Signal], state: &[Bdd], collect: bool) -> Option<Vec<Option<Bdd>>> {
+        let netlist = self.netlist;
+        let cone = netlist.comb_cone(roots);
         let mut values: Vec<Option<Bdd>> = vec![None; netlist.num_nodes()];
+        for (&l, &s) in netlist.latches().iter().zip(state) {
+            if cone[l.index()] {
+                values[l.index()] = Some(s);
+            }
+        }
+        // Remaining-use counts for value liveness (so GC can free dead
+        // nodes); the roots keep one use each to the end.
+        let mut uses: Vec<u32> = Vec::new();
+        if collect {
+            uses = vec![0; netlist.num_nodes()];
+            for id in netlist.node_ids() {
+                if cone[id.index()] {
+                    if let Node::And(a, b) = netlist.node(id) {
+                        uses[a.node().index()] += 1;
+                        uses[b.node().index()] += 1;
+                    }
+                }
+            }
+            for r in roots {
+                uses[r.node().index()] += 1;
+            }
+        }
         for id in netlist.node_ids() {
             if !cone[id.index()] {
                 continue;
             }
-            if let Some(limit) = opts.node_limit {
-                if mgr.stats().allocated > limit {
-                    return abort_outcome(&mgr, 0, start);
-                }
+            if !collect && self.over_limit() {
+                return None;
             }
             let v = match netlist.node(id) {
                 Node::Const => Bdd::FALSE,
                 Node::Input { .. } => {
-                    let raw = mgr.var_bdd(var_of_node[&(id.index() as u32)]);
-                    if care_bdd.is_true() || care_bdd.is_false() {
-                        raw
-                    } else {
-                        match opts.minimize {
-                            Minimize::Constrain => mgr.constrain(raw, care_bdd),
-                            Minimize::Restrict => mgr.restrict(raw, care_bdd),
-                            Minimize::None => raw,
-                        }
+                    let var = self.var_of_node[id.index()].expect("every input has a variable");
+                    let raw = self.mgr.var_bdd(var);
+                    match self.opts.minimize {
+                        Minimize::Constrain => self.mgr.constrain(raw, self.care),
+                        Minimize::Restrict => self.mgr.restrict(raw, self.care),
+                        Minimize::None => raw,
                     }
                 }
-                Node::Latch { .. } => latch_value(netlist, id),
+                Node::Latch { .. } => values[id.index()].expect("register state seeded"),
                 Node::And(a, b) => {
-                    let va = edge(&values, *a);
-                    let vb = edge(&values, *b);
-                    let g = mgr.and(va, vb);
-                    if !care_bdd.is_true()
-                        && !care_bdd.is_false()
-                        && opts.minimize == Minimize::Restrict
-                    {
-                        mgr.restrict(g, care_bdd)
+                    let g = self.mgr.and(edge(&values, *a), edge(&values, *b));
+                    // Constrain distributes: the children are already
+                    // minimized, so the plain AND *is* the constrained
+                    // function.
+                    if self.opts.minimize == Minimize::Restrict {
+                        self.mgr.restrict(g, self.care)
                     } else {
                         g
                     }
                 }
             };
             values[id.index()] = Some(v);
-        }
-        let part_bdd = edge(&values, part);
-        drop(values);
-        care_bdd = mgr.and(care_bdd, part_bdd);
-        if std::env::var_os("FMAVERIFY_BDD_TRACE").is_some() {
-            eprintln!(
-                "care part {part:?}: part_false={} care_false={} alloc={}",
-                part_bdd.is_false(),
-                care_bdd.is_false(),
-                mgr.stats().allocated
-            );
-        }
-        if care_bdd.is_false() {
-            break;
-        }
-        let roots = mgr.gc(&[care_bdd]);
-        care_bdd = roots[0];
-    }
-    if care_bdd.is_false() {
-        // Empty care set: the case is trivially discharged (the paper's
-        // C_sha/rest case).
-        return BddOutcome {
-            holds: true,
-            counterexample: None,
-            peak_nodes: mgr.stats().peak_allocated,
-            final_nodes: mgr.reachable_count(&[care_bdd]),
-            care_nodes: 1,
-            duration: start.elapsed(),
-            aborted: false,
-            manager_stats: mgr.stats(),
-        };
-    }
-    let care_nodes = mgr.reachable_count(&[care_bdd]);
-
-    // Pass 2: evaluate the miter cone with minimization.
-    let cone = netlist.comb_cone(&[miter]);
-    // Remaining-use counts for value liveness (so GC can free dead nodes).
-    let mut uses: Vec<u32> = vec![0; netlist.num_nodes()];
-    for id in netlist.node_ids() {
-        if cone[id.index()] {
+            if !collect {
+                continue;
+            }
             if let Node::And(a, b) = netlist.node(id) {
-                uses[a.node().index()] += 1;
-                uses[b.node().index()] += 1;
+                for child in [a.node(), b.node()] {
+                    uses[child.index()] -= 1;
+                    if uses[child.index()] == 0 {
+                        values[child.index()] = None;
+                    }
+                }
+            }
+            if self.mgr.stats().allocated > self.next_gc {
+                self.collect(&mut values);
+                if self.over_limit() {
+                    return None;
+                }
             }
         }
+        Some(values)
     }
-    uses[miter.node().index()] += 1;
 
-    let mut values: Vec<Option<Bdd>> = vec![None; netlist.num_nodes()];
-    let mut care_cur = care_bdd;
-    let mut aborted = false;
-    let mut next_gc = opts.gc_threshold;
-    for id in netlist.node_ids() {
-        if !cone[id.index()] {
-            continue;
+    /// Collects everything but `values` and the care set, and re-arms the
+    /// dead-fraction trigger: the next collection fires once the arena is
+    /// at least half garbage relative to the survivors of this one
+    /// (allocations doubled the live set), never below the configured
+    /// floor. A mostly-live arena is not worth re-collecting.
+    fn collect(&mut self, values: &mut [Option<Bdd>]) {
+        let mut roots: Vec<Bdd> = values.iter().flatten().copied().collect();
+        roots.push(self.care);
+        let new_roots = self.mgr.gc(&roots);
+        for (slot, root) in values.iter_mut().flatten().zip(&new_roots) {
+            *slot = *root;
         }
-        let v = match netlist.node(id) {
-            Node::Const => Bdd::FALSE,
-            Node::Input { .. } => {
-                let raw = mgr.var_bdd(var_of_node[&(id.index() as u32)]);
-                match opts.minimize {
-                    Minimize::Constrain => mgr.constrain(raw, care_cur),
-                    Minimize::Restrict => mgr.restrict(raw, care_cur),
-                    Minimize::None => raw,
-                }
-            }
-            Node::Latch { .. } => latch_value(netlist, id),
-            Node::And(a, b) => {
-                let va = edge(&values, *a);
-                let vb = edge(&values, *b);
-                let g = mgr.and(va, vb);
-                match opts.minimize {
-                    // Constrain distributes: children are already minimized,
-                    // so the plain AND *is* the constrained function.
-                    Minimize::Constrain => g,
-                    Minimize::Restrict => mgr.restrict(g, care_cur),
-                    Minimize::None => g,
-                }
-            }
-        };
-        values[id.index()] = Some(v);
-        // Release operands that will not be used again.
-        if let Node::And(a, b) = netlist.node(id) {
-            for child in [a.node(), b.node()] {
-                uses[child.index()] -= 1;
-                if uses[child.index()] == 0 {
-                    values[child.index()] = None;
-                }
-            }
-        }
-        if mgr.stats().allocated > next_gc {
-            let mut roots: Vec<Bdd> = values.iter().flatten().copied().collect();
-            roots.push(care_cur);
-            let new_roots = mgr.gc(&roots);
-            let mut k = 0;
-            for slot in values.iter_mut() {
-                if slot.is_some() {
-                    *slot = Some(new_roots[k]);
-                    k += 1;
-                }
-            }
-            care_cur = new_roots[k];
-            // Dead-fraction trigger: fire the next collection once the arena
-            // is at least half garbage relative to the survivors of this one
-            // (allocations doubled the live set), never below the configured
-            // floor. A mostly-live arena is not worth re-collecting.
-            next_gc = (mgr.stats().allocated * 2).max(opts.gc_threshold);
-            if let Some(limit) = opts.node_limit {
-                if mgr.stats().allocated > limit {
-                    aborted = true;
-                    break;
-                }
-            }
-        }
+        self.care = *new_roots.last().expect("care root");
+        self.next_gc = (self.mgr.stats().allocated * 2).max(self.opts.gc_threshold);
     }
-    if aborted {
-        return BddOutcome {
-            holds: false,
+
+    fn over_limit(&self) -> bool {
+        self.opts
+            .node_limit
+            .is_some_and(|limit| self.mgr.stats().allocated > limit)
+    }
+
+    /// An input assignment (by name) satisfying `bad`; inputs the path
+    /// leaves free read as 0.
+    fn counterexample(&self, bad: Bdd) -> HashMap<String, bool> {
+        let path = self.mgr.pick_sat(bad).expect("bad is satisfiable");
+        let by_var: HashMap<usize, bool> = path.into_iter().map(|(v, b)| (v.index(), b)).collect();
+        self.input_names
+            .iter()
+            .map(|(v, name)| {
+                (
+                    name.clone(),
+                    by_var.get(&v.index()).copied().unwrap_or(false),
+                )
+            })
+            .collect()
+    }
+
+    fn outcome(&self, holds: bool, final_nodes: usize, care_nodes: usize) -> BddOutcome {
+        BddOutcome {
+            holds,
             counterexample: None,
-            peak_nodes: mgr.stats().peak_allocated,
-            final_nodes: mgr.stats().allocated,
+            peak_nodes: self.mgr.stats().peak_allocated,
+            final_nodes,
             care_nodes,
-            duration: start.elapsed(),
-            aborted: true,
-            manager_stats: mgr.stats(),
-        };
+            duration: self.start.elapsed(),
+            aborted: false,
+            manager_stats: self.mgr.stats(),
+        }
     }
-    let miter_val = edge(&values, miter);
-    let bad = mgr.and(miter_val, care_cur);
-    let holds = bad.is_false();
-    let counterexample = if holds {
-        None
-    } else {
-        let path = mgr.pick_sat(bad).expect("bad is satisfiable");
-        let mut by_var: HashMap<usize, bool> = HashMap::new();
-        for (v, val) in path {
-            by_var.insert(v.index(), val);
+
+    fn aborted(&self, care_nodes: usize) -> BddOutcome {
+        BddOutcome {
+            aborted: true,
+            ..self.outcome(false, self.mgr.stats().allocated, care_nodes)
         }
-        let mut cex = HashMap::new();
-        for (v, name) in &input_name_of_var {
-            cex.insert(
-                name.clone(),
-                by_var.get(&v.index()).copied().unwrap_or(false),
-            );
-        }
-        Some(cex)
-    };
-    BddOutcome {
-        holds,
-        counterexample,
-        peak_nodes: mgr.stats().peak_allocated,
-        final_nodes: mgr.reachable_count(&[bad, care_cur]),
-        care_nodes,
-        duration: start.elapsed(),
-        aborted: false,
-        manager_stats: mgr.stats(),
     }
 }
 
@@ -394,6 +418,11 @@ fn edge(values: &[Option<Bdd>], sig: Signal) -> Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cases::{enumerate_cases, CaseId};
+    use crate::harness::{build_harness, HarnessOptions};
+    use crate::order::paper_order;
+    use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
+    use fmaverify_softfloat::FpFormat;
 
     /// A tiny miter: two adders built differently must agree; with a bug
     /// injected, the engine must produce a counterexample.
@@ -421,10 +450,10 @@ mod tests {
     fn equal_adders_hold() {
         let (n, miter, care) = adder_pair(false);
         for minimize in [Minimize::Constrain, Minimize::Restrict, Minimize::None] {
-            let out = check_miter_bdd(
+            let out = check_miter_bdd_parts(
                 &n,
                 miter,
-                care,
+                &[care],
                 &BddEngineOptions {
                     minimize,
                     ..BddEngineOptions::default()
@@ -439,7 +468,7 @@ mod tests {
     #[test]
     fn buggy_adder_yields_counterexample() {
         let (n, miter, care) = adder_pair(true);
-        let out = check_miter_bdd(&n, miter, care, &BddEngineOptions::default());
+        let out = check_miter_bdd_parts(&n, miter, &[care], &BddEngineOptions::default());
         assert!(!out.holds);
         let cex = out.counterexample.expect("counterexample");
         // Replay the counterexample concretely.
@@ -468,10 +497,10 @@ mod tests {
             let k = n.word_const(4, 12);
             n.ult(&a, &k)
         };
-        let out = check_miter_bdd(&n, miter, care, &BddEngineOptions::default());
+        let out = check_miter_bdd_parts(&n, miter, &[care], &BddEngineOptions::default());
         assert!(out.holds);
         // Without the constraint it fails.
-        let out2 = check_miter_bdd(&n, miter, Signal::TRUE, &BddEngineOptions::default());
+        let out2 = check_miter_bdd_parts(&n, miter, &[Signal::TRUE], &BddEngineOptions::default());
         assert!(!out2.holds);
     }
 
@@ -480,7 +509,7 @@ mod tests {
         let mut n = Netlist::new();
         let a = n.input("a");
         let miter = a;
-        let out = check_miter_bdd(&n, miter, Signal::FALSE, &BddEngineOptions::default());
+        let out = check_miter_bdd_parts(&n, miter, &[Signal::FALSE], &BddEngineOptions::default());
         assert!(out.holds);
     }
 
@@ -491,15 +520,197 @@ mod tests {
         let b = n.word_input("b", 4);
         let eq = n.eq_word(&a, &b);
         let order: Vec<Signal> = (0..4).flat_map(|i| [a.bit(i), b.bit(i)]).collect();
-        let interleaved = check_miter_bdd(
+        let interleaved = check_miter_bdd_parts(
             &n,
             !eq,
-            eq,
+            &[eq],
             &BddEngineOptions {
                 order,
                 ..BddEngineOptions::default()
             },
         );
         assert!(interleaved.holds);
+    }
+
+    fn tiny_cfg() -> FpuConfig {
+        FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        }
+    }
+
+    /// The combinational (3,2) harness with the constraint parts and paper
+    /// order of one FMA overlap case.
+    fn combinational_case() -> (crate::harness::Harness, Vec<Signal>, BddEngineOptions) {
+        let mut harness = build_harness(&tiny_cfg(), HarnessOptions::default());
+        let case = CaseId::OverlapNoCancel { delta: 3 };
+        let parts = harness.case_constraint_parts(FpuOp::Fma, case);
+        let opts = BddEngineOptions {
+            order: paper_order(&harness, Some(3)),
+            ..BddEngineOptions::default()
+        };
+        (harness, parts, opts)
+    }
+
+    #[test]
+    fn node_limit_aborts_at_cycle_zero() {
+        let (harness, parts, opts) = combinational_case();
+        let out = check_miter_bdd_sequential(
+            &harness.netlist,
+            harness.miter,
+            &parts,
+            0,
+            &BddEngineOptions {
+                node_limit: Some(1),
+                ..opts
+            },
+        );
+        assert!(out.aborted);
+        assert!(!out.holds);
+    }
+
+    #[test]
+    fn cycle_zero_is_the_combinational_check() {
+        let (harness, parts, opts) = combinational_case();
+        let seq = check_miter_bdd_sequential(&harness.netlist, harness.miter, &parts, 0, &opts);
+        let comb = check_miter_bdd_parts(&harness.netlist, harness.miter, &parts, &opts);
+        assert!(seq.holds && comb.holds);
+        assert_eq!(seq.peak_nodes, comb.peak_nodes);
+        assert_eq!(seq.care_nodes, comb.care_nodes);
+        assert_eq!(seq.manager_stats, comb.manager_stats);
+    }
+
+    #[test]
+    fn pipelined_case_collects_inside_a_cycle() {
+        let mut harness = build_harness(
+            &tiny_cfg(),
+            HarnessOptions {
+                pipeline: PipelineMode::ThreeStage,
+                ..HarnessOptions::default()
+            },
+        );
+        let latency = PipelineMode::ThreeStage.latency();
+        let parts = harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
+        let out = check_miter_bdd_sequential(
+            &harness.netlist,
+            harness.miter,
+            &parts,
+            latency,
+            &BddEngineOptions {
+                gc_threshold: 1_000,
+                ..BddEngineOptions::default()
+            },
+        );
+        assert!(out.holds && !out.aborted);
+        // One collection per care part, and more than one per cycle on top.
+        let gc_runs = out.manager_stats.gc_runs as usize;
+        assert!(gc_runs > parts.len() + latency, "{gc_runs} collections");
+    }
+
+    #[test]
+    fn sequential_engine_verifies_pipelined_cases() {
+        let cfg = FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        };
+        let mut harness = build_harness(
+            &cfg,
+            HarnessOptions {
+                pipeline: PipelineMode::ThreeStage,
+                ..HarnessOptions::default()
+            },
+        );
+        let latency = PipelineMode::ThreeStage.latency();
+        // A representative subset (the full sweep is covered by the
+        // unrolling test).
+        let cases: Vec<CaseId> = enumerate_cases(&cfg, FpuOp::Fma)
+            .into_iter()
+            .step_by(7)
+            .collect();
+        for case in cases {
+            let parts = harness.case_constraint_parts(FpuOp::Fma, case);
+            let out = check_miter_bdd_sequential(
+                &harness.netlist,
+                harness.miter,
+                &parts,
+                latency,
+                &BddEngineOptions::default(),
+            );
+            assert!(out.holds && !out.aborted, "case {case:?}");
+        }
+    }
+
+    #[test]
+    fn sequential_engine_finds_pipelined_bugs() {
+        let cfg = FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        };
+        let mut harness = build_harness(
+            &cfg,
+            HarnessOptions {
+                pipeline: PipelineMode::ThreeStage,
+                ..HarnessOptions::default()
+            },
+        );
+        // Inject a fault into an AND gate feeding a register next-state
+        // function (a sequential-only bug).
+        let parts_all =
+            harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
+        for (i, p) in parts_all.iter().enumerate() {
+            harness.netlist.probe(format!("seqbug#{i}"), *p);
+        }
+        let target = harness
+            .netlist
+            .latches()
+            .iter()
+            .find_map(|&l| match harness.netlist.node(l) {
+                fmaverify_netlist::Node::Latch { next, .. }
+                    if matches!(
+                        harness.netlist.node(next.node()),
+                        fmaverify_netlist::Node::And(..)
+                    ) =>
+                {
+                    Some(next.node())
+                }
+                _ => None,
+            })
+            .expect("a register fed by logic");
+        let mutated = crate::mutate::inject_fault(
+            &harness.netlist,
+            target,
+            crate::mutate::MutationKind::InvertOutput,
+        );
+        let miter = mutated.find_output("miter").expect("miter");
+        let parts: Vec<Signal> = (0..parts_all.len())
+            .map(|i| mutated.find_probe(&format!("seqbug#{i}")).expect("probe"))
+            .collect();
+        let out = check_miter_bdd_sequential(
+            &mutated,
+            miter,
+            &parts,
+            PipelineMode::ThreeStage.latency(),
+            &BddEngineOptions::default(),
+        );
+        // The fault sits in this case's cone or not; if the case holds, try
+        // the unconstrained space, which must expose an inverted gate that
+        // feeds state.
+        if out.holds {
+            let out2 = check_miter_bdd_sequential(
+                &mutated,
+                miter,
+                &[Signal::TRUE],
+                PipelineMode::ThreeStage.latency(),
+                &BddEngineOptions::default(),
+            );
+            assert!(
+                !out2.holds,
+                "an inverted state-feeding gate must be visible"
+            );
+            let cex = out2.counterexample.expect("cex");
+            assert!(!cex.is_empty());
+        } else {
+            assert!(out.counterexample.is_some());
+        }
     }
 }

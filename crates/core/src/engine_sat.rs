@@ -49,18 +49,8 @@ pub struct SatOutcome {
     pub unknown: bool,
 }
 
-/// Checks by SAT that `miter` is false everywhere on the care set `care`.
-pub fn check_miter_sat(
-    netlist: &Netlist,
-    miter: Signal,
-    care: Signal,
-    opts: &SatEngineOptions,
-) -> SatOutcome {
-    check_miter_sat_parts(netlist, miter, &[care], opts)
-}
-
-/// Like [`check_miter_sat`] with the care set given as a conjunction of
-/// parts, each assumed as a separate literal.
+/// Checks by SAT that `miter` is false everywhere on the care set, given
+/// as a conjunction of parts, each assumed as a separate literal.
 pub fn check_miter_sat_parts(
     netlist: &Netlist,
     miter: Signal,
@@ -138,10 +128,10 @@ pub fn prove_tautology(
     netlist: &Netlist,
     property: Signal,
 ) -> (bool, Option<HashMap<String, bool>>) {
-    let out = check_miter_sat(
+    let out = check_miter_sat_parts(
         netlist,
         !property,
-        Signal::TRUE,
+        &[Signal::TRUE],
         &SatEngineOptions::default(),
     );
     (out.holds, out.counterexample)
@@ -174,10 +164,10 @@ mod tests {
     fn equal_adders_hold() {
         let (n, miter, care) = adder_pair(false);
         for sweep in [false, true] {
-            let out = check_miter_sat(
+            let out = check_miter_sat_parts(
                 &n,
                 miter,
-                care,
+                &[care],
                 &SatEngineOptions {
                     sweep_first: sweep,
                     conflict_budget: None,
@@ -193,7 +183,7 @@ mod tests {
     #[test]
     fn buggy_adder_cex_replays() {
         let (n, miter, care) = adder_pair(true);
-        let out = check_miter_sat(&n, miter, care, &SatEngineOptions::default());
+        let out = check_miter_sat_parts(&n, miter, &[care], &SatEngineOptions::default());
         assert!(!out.holds);
         let cex = out.counterexample.expect("counterexample");
         let mut sim = BitSim::new(&n);
@@ -247,10 +237,10 @@ mod tests {
         let rhs = n.add(&p1x, &p2x);
         let d = n.xor_word(&lhs, &rhs);
         let miter = n.or_reduce(&d);
-        let out = check_miter_sat(
+        let out = check_miter_sat_parts(
             &n,
             miter,
-            Signal::TRUE,
+            &[Signal::TRUE],
             &SatEngineOptions {
                 sweep_first: false,
                 conflict_budget: Some(1),

@@ -457,23 +457,13 @@ fn duration_json(d: Duration) -> JsonValue {
 
 impl ToJson for EngineKind {
     fn to_json(&self) -> JsonValue {
-        JsonValue::string(match self {
-            EngineKind::Bdd => "bdd",
-            EngineKind::BddSequential => "bdd-seq",
-            EngineKind::Sat => "sat",
-        })
+        JsonValue::string(self.label())
     }
 }
 
 impl ToJson for Verdict {
     fn to_json(&self) -> JsonValue {
-        JsonValue::string(match self {
-            Verdict::Holds => "holds",
-            Verdict::Fails => "fails",
-            Verdict::BudgetExceeded => "budget-exceeded",
-            Verdict::Error => "error",
-            Verdict::Canceled => "canceled",
-        })
+        JsonValue::string(self.label())
     }
 }
 

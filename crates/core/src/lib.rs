@@ -16,9 +16,9 @@
 //!   procedure returns one [`engine::EngineOutcome`] (holds /
 //!   counterexample / budget-exceeded / error) with uniform
 //!   [`engine::EngineStats`];
-//! * [`engine_bdd`] / [`engine_sat`] / [`engine_bdd_seq`] — BDD symbolic
-//!   simulation with care-set minimization, structural SAT, and the
-//!   cycle-accurate sequential BDD engine, all behind the trait;
+//! * [`engine_bdd`] / [`engine_sat`] — BDD symbolic simulation with
+//!   care-set minimization (combinational, or cycle-accurate on a
+//!   sequential netlist) and structural SAT, both behind the trait;
 //! * [`order`] — the paper's static variable orders;
 //! * [`isolation`] — the multiplier-isolation soundness obligation and the
 //!   automatic derivation of the implementation-specific `S'`,`T'` rules;
@@ -71,7 +71,9 @@
 //!     denormals: DenormalMode::FlushToZero,
 //! };
 //! let (tracer, sink) = Tracer::in_memory();
-//! let report = Session::new(&cfg).tracer(tracer).run(FpuOp::Mul);
+//! let report = Session::new(&cfg)
+//!     .configure(RunConfig::default().tracer(tracer))
+//!     .run(FpuOp::Mul);
 //! let summary = fmaverify::trace::summary::summarize_jsonl(&sink.to_jsonl()).unwrap();
 //! assert_eq!(summary.cases.len(), report.results.len());
 //! ```
@@ -86,7 +88,6 @@ pub mod completeness;
 pub mod config;
 pub mod engine;
 pub mod engine_bdd;
-pub mod engine_bdd_seq;
 pub mod engine_sat;
 pub mod error;
 pub mod harness;
@@ -117,12 +118,9 @@ pub use engine::{
     EngineStats, EngineVerdict, SatCaseEngine,
 };
 pub use engine_bdd::{
-    check_miter_bdd, check_miter_bdd_parts, BddEngineOptions, BddOutcome, Minimize,
+    check_miter_bdd_parts, check_miter_bdd_sequential, BddEngineOptions, BddOutcome, Minimize,
 };
-pub use engine_bdd_seq::check_miter_bdd_sequential;
-pub use engine_sat::{
-    check_miter_sat, check_miter_sat_parts, prove_tautology, SatEngineOptions, SatOutcome,
-};
+pub use engine_sat::{check_miter_sat_parts, prove_tautology, SatEngineOptions, SatOutcome};
 pub use error::Error;
 pub use harness::{
     architected_delta, build_harness, multiplier_property, Harness, HarnessOptions, StConstant,
@@ -138,11 +136,9 @@ pub use mutate::{
 };
 pub use order::{naive_order, paper_order};
 pub use report::{render_table1, summarize, table1_rows, TableRow};
-#[allow(deprecated)]
 pub use runner::{
-    run_case_ladder, run_cases, run_cases_with_policy, run_single_case, verify_instruction,
-    verify_instruction_with_policy, CancellationToken, CaseAttempt, CaseResult, CounterExample,
-    EngineStage, InstructionReport, RunOptions, SchedulePolicy, Verdict,
+    run_case_ladder, CancellationToken, CaseAttempt, CaseResult, CounterExample, EngineStage,
+    InstructionReport, SchedulePolicy, Verdict,
 };
 pub use semi_formal::{semi_formal_check, SemiFormalOutcome};
 pub use sequential::{unroll_harness, UnrolledHarness};
@@ -165,7 +161,7 @@ pub mod prelude {
     pub use crate::harness::HarnessOptions;
     pub use crate::json::ToJson;
     pub use crate::runner::{
-        CancellationToken, CaseResult, InstructionReport, RunOptions, SchedulePolicy, Verdict,
+        CancellationToken, CaseResult, InstructionReport, SchedulePolicy, Verdict,
     };
     pub use crate::session::Session;
     pub use crate::trace::{Counter, SpanKind, Tracer};

@@ -23,19 +23,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fmaverify_fpu::{FpuConfig, FpuOp};
+use fmaverify_fpu::FpuOp;
 use fmaverify_netlist::{BitSim, Netlist, Signal};
 
 use crate::cache::{CacheStats, CachedCase, Fingerprint, ProofCache};
-use crate::cases::{enumerate_cases, CaseClass, CaseId};
+use crate::cases::{CaseClass, CaseId};
+use crate::config::RunConfig;
 use crate::engine::{
     BddCaseEngine, CaseEngine, EngineBudget, EngineKind, EngineOutcome, EngineStats, EngineVerdict,
     SatCaseEngine,
 };
-use crate::engine_bdd::Minimize;
 use crate::error::Error;
-use crate::harness::{build_harness, Harness, HarnessOptions};
+use crate::harness::Harness;
 use crate::json::{JsonValue, ToJson};
+use crate::session::Session;
 use crate::trace::{Counter, SpanKind, Tracer};
 
 /// A counterexample decoded back to operand values.
@@ -72,6 +73,32 @@ pub enum Verdict {
     Error,
     /// The run was canceled before this case was decided.
     Canceled,
+}
+
+impl Verdict {
+    /// The stable name used in results JSON, traces and proof-cache shards.
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Holds => "holds",
+            Verdict::Fails => "fails",
+            Verdict::BudgetExceeded => "budget-exceeded",
+            Verdict::Error => "error",
+            Verdict::Canceled => "canceled",
+        }
+    }
+
+    /// The verdict named by [`Verdict::label`].
+    pub fn from_label(label: &str) -> Option<Verdict> {
+        [
+            Verdict::Holds,
+            Verdict::Fails,
+            Verdict::BudgetExceeded,
+            Verdict::Error,
+            Verdict::Canceled,
+        ]
+        .into_iter()
+        .find(|v| v.label() == label)
+    }
 }
 
 /// One engine attempt on a case (a rung of the escalation ladder).
@@ -202,42 +229,41 @@ pub struct SchedulePolicy {
 }
 
 impl SchedulePolicy {
-    /// The policy [`RunOptions`] describe: the paper's engine assignment,
-    /// budgets from the options, plus one escalation rung per class when
-    /// `escalate` is set — a blown BDD run retries as swept SAT, a blown
-    /// SAT run retries as unbounded BDD.
-    pub fn from_options(options: &RunOptions) -> Self {
-        let bdd = BddCaseEngine {
-            minimize: options.minimize,
-            gc_threshold: options.gc_threshold,
-            cache_size: options.bdd_cache_size,
-        };
+    /// The policy a [`RunConfig`] describes: the paper's engine
+    /// assignment, budgets from the configuration, plus one escalation rung
+    /// per class when `escalate` is set — a blown BDD run retries as swept
+    /// SAT, a blown SAT run retries as unbounded BDD.
+    pub fn from_config(config: &RunConfig) -> Self {
+        let bdd = Arc::new(BddCaseEngine {
+            minimize: config.minimize,
+            gc_threshold: config.gc_threshold,
+            cache_size: config.bdd_cache_size,
+        });
         let mut overlap = vec![EngineStage {
-            engine: bdd.clone().shared(),
+            engine: bdd.clone(),
             budget: EngineBudget {
-                node_limit: options.node_budget,
+                node_limit: config.node_budget,
                 conflict_limit: None,
             },
         }];
-        if options.escalate && options.node_budget.is_some() {
+        if config.escalate && config.node_budget.is_some() {
             overlap.push(EngineStage {
-                engine: SatCaseEngine { sweep_first: true }.shared(),
+                engine: Arc::new(SatCaseEngine { sweep_first: true }),
                 budget: EngineBudget::UNLIMITED,
             });
         }
         let mut farout = vec![EngineStage {
-            engine: SatCaseEngine {
-                sweep_first: options.sweep_before_sat,
-            }
-            .shared(),
+            engine: Arc::new(SatCaseEngine {
+                sweep_first: config.sweep_before_sat,
+            }),
             budget: EngineBudget {
                 node_limit: None,
-                conflict_limit: options.conflict_budget,
+                conflict_limit: config.conflict_budget,
             },
         }];
-        if options.escalate && options.conflict_budget.is_some() {
+        if config.escalate && config.conflict_budget.is_some() {
             farout.push(EngineStage {
-                engine: bdd.shared(),
+                engine: bdd,
                 budget: EngineBudget::UNLIMITED,
             });
         }
@@ -251,60 +277,6 @@ impl SchedulePolicy {
             // cases"; the multiply instruction is SAT end to end.
             (FpuOp::Mul, _) | (_, CaseId::FarOut) | (_, CaseId::Monolithic) => &self.farout,
             _ => &self.overlap,
-        }
-    }
-}
-
-/// Options for an instruction-level verification run.
-#[derive(Clone, Debug)]
-pub struct RunOptions {
-    /// Harness construction options.
-    pub harness: HarnessOptions,
-    /// BDD minimization strategy.
-    pub minimize: Minimize,
-    /// Threads for the parallel case run (0 = all available).
-    pub threads: usize,
-    /// Run redundancy removal before first-rung SAT cases.
-    pub sweep_before_sat: bool,
-    /// Garbage-collection threshold for the BDD engine.
-    pub gc_threshold: usize,
-    /// Computed-cache size cap (entries) for each BDD case's manager.
-    pub bdd_cache_size: usize,
-    /// Per-case BDD node budget (`None` = unbounded first rung).
-    pub node_budget: Option<usize>,
-    /// Per-case SAT conflict budget (`None` = unbounded first rung).
-    pub conflict_budget: Option<u64>,
-    /// Retry a budget-exceeded case on the other engine class.
-    pub escalate: bool,
-    /// Cancel the remaining cases as soon as one counterexample is found
-    /// (bug-hunting mode).
-    pub stop_on_failure: bool,
-    /// External stop signal; checked before every case.
-    pub cancel: CancellationToken,
-    /// Telemetry pipeline; [`Tracer::disabled`] (the default) costs nearly
-    /// nothing.
-    pub tracer: Tracer,
-    /// Content-addressed proof cache consulted before every case dispatch
-    /// (`None` = always run the engines).
-    pub cache: Option<Arc<ProofCache>>,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            harness: HarnessOptions::default(),
-            minimize: Minimize::Constrain,
-            threads: 0,
-            sweep_before_sat: false,
-            gc_threshold: 2_000_000,
-            bdd_cache_size: fmaverify_bdd::DEFAULT_CACHE_SIZE,
-            node_budget: None,
-            conflict_budget: None,
-            escalate: true,
-            stop_on_failure: false,
-            cancel: CancellationToken::new(),
-            tracer: Tracer::disabled(),
-            cache: None,
         }
     }
 }
@@ -347,161 +319,14 @@ impl InstructionReport {
     }
 }
 
-/// Verifies one instruction across all of its cases with the default
-/// policy derived from `options`.
-#[doc(hidden)]
-#[deprecated(since = "0.2.0", note = "use `fmaverify::Session::new(cfg).run(op)`")]
-pub fn verify_instruction(cfg: &FpuConfig, op: FpuOp, options: &RunOptions) -> InstructionReport {
-    verify_with(cfg, op, options, &SchedulePolicy::from_options(options))
-}
-
-/// Verifies one instruction across all of its cases under an explicit
-/// [`SchedulePolicy`].
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fmaverify::Session::new(cfg).policy(p).run(op)`"
-)]
-pub fn verify_instruction_with_policy(
-    cfg: &FpuConfig,
-    op: FpuOp,
-    options: &RunOptions,
-    policy: &SchedulePolicy,
-) -> InstructionReport {
-    verify_with(cfg, op, options, policy)
-}
-
-/// The traced instruction-level run behind [`crate::Session::run`].
-///
-/// Constraints for all cases are materialized in the shared netlist first;
-/// the per-case checks then run in parallel over the read-only netlist.
-/// When a tracer is configured, the whole run is bracketed by a `run` span
-/// with `op` children for harness construction and constraint generation,
-/// and a registry-totals event is emitted at the end.
-pub(crate) fn verify_with(
-    cfg: &FpuConfig,
-    op: FpuOp,
-    options: &RunOptions,
-    policy: &SchedulePolicy,
-) -> InstructionReport {
-    let start = Instant::now();
-    let tracer = options.tracer.clone();
-    let mut run_span = tracer.span(SpanKind::Run, || format!("verify:{op:?}"));
-    let mut harness = {
-        let _span = run_span.child(SpanKind::Op, || "build_harness".into());
-        build_harness(cfg, options.harness.clone())
-    };
-    let cases = enumerate_cases(cfg, op);
-    let constraints: Vec<(CaseId, Vec<Signal>)> = {
-        let _span = run_span.child(SpanKind::Op, || "constraints".into());
-        cases
-            .iter()
-            .map(|&case| (case, harness.case_constraint_parts(op, case)))
-            .collect()
-    };
-    let cache_before = options.cache.as_ref().map(|c| c.stats());
-    let results = schedule_cases(
-        &harness,
-        op,
-        &constraints,
-        options,
-        policy,
-        run_span.parent_id(),
-    );
-    let accumulated = results.iter().map(|r| r.duration).sum();
-    run_span.field("op", JsonValue::string(format!("{op:?}")));
-    run_span.field("cases", JsonValue::int(results.len() as u64));
-    run_span.field(
-        "all_hold",
-        JsonValue::Bool(results.iter().all(|r| r.holds())),
-    );
-    run_span.field(
-        "cached",
-        JsonValue::int(results.iter().filter(|r| r.cached).count() as u64),
-    );
-    drop(run_span);
-    finish_cache_accounting(options, cache_before, &tracer);
-    tracer.emit_totals();
-    tracer.flush();
-    InstructionReport {
-        op,
-        results,
-        wall: start.elapsed(),
-        accumulated,
-    }
-}
-
-/// Runs pre-built `(case, constraint)` pairs in parallel on the harness
-/// with the default policy derived from `options`.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fmaverify::Session::new(cfg).run_prepared(...)`"
-)]
-pub fn run_cases(
-    harness: &Harness,
-    op: FpuOp,
-    constraints: &[(CaseId, Vec<Signal>)],
-    options: &RunOptions,
-) -> Vec<CaseResult> {
-    run_prepared_traced(
-        harness,
-        op,
-        constraints,
-        options,
-        &SchedulePolicy::from_options(options),
-    )
-}
-
-/// Runs pre-built `(case, constraint)` pairs on a work-stealing pool under
-/// an explicit policy.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fmaverify::Session::new(cfg).policy(p).run_prepared(...)`"
-)]
-pub fn run_cases_with_policy(
-    harness: &Harness,
-    op: FpuOp,
-    constraints: &[(CaseId, Vec<Signal>)],
-    options: &RunOptions,
-    policy: &SchedulePolicy,
-) -> Vec<CaseResult> {
-    run_prepared_traced(harness, op, constraints, options, policy)
-}
-
-/// [`schedule_cases`] wrapped in its own `run` span plus the end-of-run
-/// totals event — the body of [`crate::Session::run_prepared`].
-pub(crate) fn run_prepared_traced(
-    harness: &Harness,
-    op: FpuOp,
-    constraints: &[(CaseId, Vec<Signal>)],
-    options: &RunOptions,
-    policy: &SchedulePolicy,
-) -> Vec<CaseResult> {
-    let tracer = options.tracer.clone();
-    let mut run_span = tracer.span(SpanKind::Run, || format!("cases:{op:?}"));
-    let cache_before = options.cache.as_ref().map(|c| c.stats());
-    let results = schedule_cases(
-        harness,
-        op,
-        constraints,
-        options,
-        policy,
-        run_span.parent_id(),
-    );
-    run_span.field("cases", JsonValue::int(results.len() as u64));
-    drop(run_span);
-    finish_cache_accounting(options, cache_before, &tracer);
-    tracer.emit_totals();
-    tracer.flush();
-    results
-}
-
 /// Folds the cache activity of the run that just finished (the delta since
 /// `before`) into the registry totals and persists any pending stores.
-fn finish_cache_accounting(options: &RunOptions, before: Option<CacheStats>, tracer: &Tracer) {
-    let (Some(cache), Some(before)) = (options.cache.as_ref(), before) else {
+pub(crate) fn finish_cache_accounting(
+    cache: Option<&ProofCache>,
+    before: Option<CacheStats>,
+    tracer: &Tracer,
+) {
+    let (Some(cache), Some(before)) = (cache, before) else {
         return;
     };
     let after = cache.stats();
@@ -530,20 +355,20 @@ fn finish_cache_accounting(options: &RunOptions, before: Option<CacheStats>, tra
 /// and folds its cases' engine counters plus scheduler telemetry (steals,
 /// escalations, queue latency) into it; each case runs under a `case` span
 /// parented to `parent`.
-fn schedule_cases(
+pub(crate) fn schedule_cases(
     harness: &Harness,
     op: FpuOp,
     constraints: &[(CaseId, Vec<Signal>)],
-    options: &RunOptions,
+    session: &Session,
     policy: &SchedulePolicy,
     parent: Option<u64>,
 ) -> Vec<CaseResult> {
-    let threads = if options.threads == 0 {
+    let threads = if session.config.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
-        options.threads
+        session.config.threads
     };
     let workers = threads.min(constraints.len()).max(1);
 
@@ -560,8 +385,8 @@ fn schedule_cases(
         .collect();
     let results: Vec<Mutex<Option<CaseResult>>> =
         (0..constraints.len()).map(|_| Mutex::new(None)).collect();
-    let cancel = &options.cancel;
-    let tracer = &options.tracer;
+    let cancel = &session.cancel;
+    let tracer = &session.config.tracer;
     let pool_start = Instant::now();
 
     std::thread::scope(|scope| {
@@ -584,13 +409,13 @@ fn schedule_cases(
                             policy.ladder(op, *case),
                             CaseCtx {
                                 tracer,
-                                cache: options.cache.as_deref(),
+                                cache: session.cache.as_deref(),
                                 parent,
                                 queue_latency,
                                 stolen,
                             },
                         );
-                        if options.stop_on_failure && r.verdict == Verdict::Fails {
+                        if session.config.stop_on_failure && r.verdict == Verdict::Fails {
                             cancel.cancel();
                         }
                         r
@@ -668,35 +493,6 @@ fn canceled_result(op: FpuOp, case: CaseId, policy: &SchedulePolicy) -> CaseResu
         cached: false,
         duration: Duration::ZERO,
     }
-}
-
-/// Runs one case with the default policy derived from `options` (ladder
-/// escalation included, no threading).
-#[doc(hidden)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fmaverify::Session::new(cfg).run_case(...)`"
-)]
-pub fn run_single_case(
-    harness: &Harness,
-    op: FpuOp,
-    case: CaseId,
-    constraint_parts: &[Signal],
-    options: &RunOptions,
-) -> CaseResult {
-    let policy = SchedulePolicy::from_options(options);
-    let result = run_case_traced(
-        harness,
-        op,
-        case,
-        constraint_parts,
-        policy.ladder(op, case),
-        CaseCtx::standalone(&options.tracer, options.cache.as_deref()),
-    );
-    if let Some(cache) = &options.cache {
-        cache.flush();
-    }
-    result
 }
 
 /// Walks one case down an escalation ladder until a stage decides it.
@@ -861,18 +657,10 @@ pub(crate) fn run_case_traced(
         }
     }
 
-    let mut result = match decided {
-        Some((rung, verdict, cex, stats)) => finish(
-            case,
-            op,
-            &ladder[rung],
-            verdict,
-            cex,
-            None,
-            stats,
-            attempts,
-            start,
-        ),
+    let (engine, verdict, counterexample, error, stats) = match decided {
+        Some((rung, verdict, cex, stats)) => {
+            (ladder[rung].engine.kind(), verdict, cex, None, stats)
+        }
         None => {
             // The whole ladder ran out without a definite verdict.
             let last = attempts.last().expect("at least one attempt");
@@ -881,25 +669,23 @@ pub(crate) fn run_case_traced(
             } else {
                 Verdict::BudgetExceeded
             };
-            let (engine, stats) = (last.engine, last.stats.clone());
-            CaseResult {
-                case,
-                op,
-                engine,
-                verdict,
-                counterexample: None,
-                error: last_error,
-                stats,
-                attempts,
-                queue_latency: Duration::ZERO,
-                stolen: false,
-                cached: false,
-                duration: start.elapsed(),
-            }
+            (last.engine, verdict, None, last_error, last.stats.clone())
         }
     };
-    result.queue_latency = ctx.queue_latency;
-    result.stolen = ctx.stolen;
+    let result = CaseResult {
+        case,
+        op,
+        engine,
+        verdict,
+        counterexample,
+        error,
+        stats,
+        attempts,
+        queue_latency: ctx.queue_latency,
+        stolen: ctx.stolen,
+        cached: false,
+        duration: start.elapsed(),
+    };
 
     // Memoize fresh definite verdicts (no-op unless the cache is
     // read-write). Indefinite outcomes say nothing reusable about the case.
@@ -946,34 +732,6 @@ pub(crate) fn run_case_traced(
         }
     }
     result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    case: CaseId,
-    op: FpuOp,
-    stage: &EngineStage,
-    verdict: Verdict,
-    counterexample: Option<CounterExample>,
-    error: Option<Error>,
-    stats: EngineStats,
-    attempts: Vec<CaseAttempt>,
-    start: Instant,
-) -> CaseResult {
-    CaseResult {
-        case,
-        op,
-        engine: stage.engine.kind(),
-        verdict,
-        counterexample,
-        error,
-        stats,
-        attempts,
-        queue_latency: Duration::ZERO,
-        stolen: false,
-        cached: false,
-        duration: start.elapsed(),
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

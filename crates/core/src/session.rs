@@ -1,12 +1,10 @@
 //! The [`Session`] facade: one builder-style entry point for every
 //! verification flow in the crate.
 //!
-//! Earlier revisions exposed a family of free functions
-//! (`verify_instruction`, `run_cases_with_policy`, `run_single_case`, ...)
-//! that each took a loose [`RunOptions`] plus, sometimes, an explicit
-//! [`SchedulePolicy`]. A `Session` bundles the configuration, the options,
-//! the optional policy override, and the telemetry pipeline into one value
-//! that can be configured once and used for many runs:
+//! A `Session` holds the FPU configuration, one [`RunConfig`], the
+//! cancellation token, the opened proof cache and an optional
+//! [`SchedulePolicy`] override. It is configured once and used for many
+//! runs:
 //!
 //! ```
 //! use fmaverify::prelude::*;
@@ -15,40 +13,49 @@
 //!     format: FpFormat::new(3, 2),
 //!     denormals: DenormalMode::FlushToZero,
 //! };
-//! let report = Session::new(&cfg).threads(2).run(FpuOp::Mul);
+//! let report = Session::new(&cfg)
+//!     .configure(RunConfig {
+//!         threads: 2,
+//!         ..RunConfig::default()
+//!     })
+//!     .run(FpuOp::Mul);
 //! assert!(report.all_hold());
 //! ```
 //!
-//! Attach a [`Tracer`] to stream JSONL telemetry for any run:
+//! Attach a [`Tracer`](crate::Tracer) to stream JSONL telemetry for any
+//! run:
 //!
 //! ```no_run
 //! use fmaverify::prelude::*;
 //!
 //! let cfg = FpuConfig::double_ftz();
 //! let tracer = Tracer::to_jsonl_file("results/fma.trace.jsonl").unwrap();
-//! let report = Session::new(&cfg).tracer(tracer).run(FpuOp::Fma);
+//! let report = Session::new(&cfg)
+//!     .configure(RunConfig::default().tracer(tracer))
+//!     .run(FpuOp::Fma);
 //! # let _ = report;
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use fmaverify_fpu::{FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
 
 use crate::cache::ProofCache;
-use crate::cases::CaseId;
+use crate::cases::{enumerate_cases, CaseId};
 use crate::config::RunConfig;
-use crate::engine::EngineBudget;
-use crate::engine_bdd::Minimize;
-use crate::harness::{Harness, HarnessOptions};
+use crate::harness::{build_harness, Harness};
+use crate::json::JsonValue;
 use crate::runner::{
-    run_case_traced, run_prepared_traced, verify_with, CancellationToken, CaseCtx, CaseResult,
-    InstructionReport, RunOptions, SchedulePolicy,
+    finish_cache_accounting, run_case_traced, schedule_cases, CancellationToken, CaseCtx,
+    CaseResult, InstructionReport, SchedulePolicy,
 };
-use crate::trace::Tracer;
+use crate::trace::SpanKind;
 
-/// A configured verification session: FPU configuration, run options, an
-/// optional [`SchedulePolicy`] override, and the telemetry pipeline.
+/// A configured verification session: FPU configuration, run
+/// configuration, cancellation token, proof cache, and an optional
+/// [`SchedulePolicy`] override.
 ///
 /// Construct with [`Session::new`], chain builder methods, then call one of
 /// the runners ([`Session::run`], [`Session::run_all`],
@@ -58,31 +65,28 @@ use crate::trace::Tracer;
 #[derive(Clone, Debug)]
 pub struct Session {
     cfg: FpuConfig,
-    options: RunOptions,
+    pub(crate) config: RunConfig,
+    pub(crate) cancel: CancellationToken,
+    pub(crate) cache: Option<Arc<ProofCache>>,
     policy: Option<SchedulePolicy>,
 }
 
 impl Session {
-    /// A session for `cfg` with default [`RunOptions`] and the default
+    /// A session for `cfg` with the default [`RunConfig`] and the default
     /// (paper) engine policy.
     pub fn new(cfg: &FpuConfig) -> Session {
         Session {
             cfg: *cfg,
-            options: RunOptions::default(),
+            config: RunConfig::default(),
+            cancel: CancellationToken::new(),
+            cache: None,
             policy: None,
         }
     }
 
-    /// Replaces the whole option set at once (escape hatch for callers that
-    /// already hold a [`RunOptions`]).
-    pub fn options(mut self, options: RunOptions) -> Session {
-        self.options = options;
-        self
-    }
-
     /// Applies a typed [`RunConfig`] — budgets, threads, tracer, proof
-    /// cache — in one call, replacing the session's options. This is the
-    /// preferred way to configure a session from the environment:
+    /// cache — in one call, opening the proof cache it asks for. This is
+    /// the way to configure a session from the environment:
     ///
     /// ```no_run
     /// use fmaverify::prelude::*;
@@ -92,93 +96,27 @@ impl Session {
     /// # let _ = session;
     /// ```
     pub fn configure(mut self, config: RunConfig) -> Session {
-        self.options = config.to_run_options();
+        self.cache = config.open_cache();
+        self.config = config;
         self
     }
 
     /// Attaches an already-open proof cache, shared with other sessions
     /// (replayed verdicts are marked [`CaseResult::cached`]).
     pub fn cache(mut self, cache: Arc<ProofCache>) -> Session {
-        self.options.cache = Some(cache);
-        self
-    }
-
-    /// Sets the harness construction options.
-    pub fn harness_options(mut self, harness: HarnessOptions) -> Session {
-        self.options.harness = harness;
-        self
-    }
-
-    /// Sets the BDD care-set minimization strategy.
-    pub fn minimize(mut self, minimize: Minimize) -> Session {
-        self.options.minimize = minimize;
-        self
-    }
-
-    /// Sets the worker-thread count (0 = all available cores).
-    pub fn threads(mut self, threads: usize) -> Session {
-        self.options.threads = threads;
-        self
-    }
-
-    /// Runs redundancy removal (SAT sweeping) before first-rung SAT cases.
-    pub fn sweep_before_sat(mut self, sweep: bool) -> Session {
-        self.options.sweep_before_sat = sweep;
-        self
-    }
-
-    /// Sets the BDD garbage-collection threshold.
-    pub fn gc_threshold(mut self, threshold: usize) -> Session {
-        self.options.gc_threshold = threshold;
-        self
-    }
-
-    /// Caps the BDD computed cache at `entries` slots per case manager. The
-    /// cache is lossy: a smaller cap trades recompute work for memory and
-    /// never changes verdicts.
-    pub fn bdd_cache_size(mut self, entries: usize) -> Session {
-        self.options.bdd_cache_size = entries;
-        self
-    }
-
-    /// Sets both per-case budgets from one [`EngineBudget`]: the node limit
-    /// bounds first-rung BDD attempts, the conflict limit bounds first-rung
-    /// SAT attempts.
-    pub fn budget(mut self, budget: EngineBudget) -> Session {
-        self.options.node_budget = budget.node_limit;
-        self.options.conflict_budget = budget.conflict_limit;
-        self
-    }
-
-    /// Enables or disables cross-engine escalation of blown budgets.
-    pub fn escalate(mut self, escalate: bool) -> Session {
-        self.options.escalate = escalate;
-        self
-    }
-
-    /// Cancels the remaining cases as soon as one counterexample is found
-    /// (bug-hunting mode).
-    pub fn stop_on_failure(mut self, stop: bool) -> Session {
-        self.options.stop_on_failure = stop;
+        self.cache = Some(cache);
         self
     }
 
     /// Installs an external cancellation token, checked before every case.
     pub fn cancel(mut self, token: CancellationToken) -> Session {
-        self.options.cancel = token;
-        self
-    }
-
-    /// Attaches a telemetry pipeline. The default, [`Tracer::disabled`],
-    /// compiles every instrumentation site down to a branch on `None`.
-    pub fn tracer(mut self, tracer: Tracer) -> Session {
-        self.options.tracer = tracer;
+        self.cancel = token;
         self
     }
 
     /// Overrides the engine policy (which ladder runs for which case
-    /// class). Without this the policy is derived from the options, which
-    /// reproduces the paper's BDD/SAT assignment.
+    /// class). Without this the policy is derived from the run
+    /// configuration, which reproduces the paper's BDD/SAT assignment.
     pub fn policy(mut self, policy: SchedulePolicy) -> Session {
         self.policy = Some(policy);
         self
@@ -189,24 +127,70 @@ impl Session {
         &self.cfg
     }
 
-    /// The effective run options.
-    pub fn run_options(&self) -> &RunOptions {
-        &self.options
-    }
-
     /// The effective policy: the explicit override if one was set, else the
-    /// policy derived from the options.
+    /// policy derived from the run configuration.
     pub fn effective_policy(&self) -> SchedulePolicy {
         self.policy
             .clone()
-            .unwrap_or_else(|| SchedulePolicy::from_options(&self.options))
+            .unwrap_or_else(|| SchedulePolicy::from_config(&self.config))
     }
 
     /// Verifies one instruction across all of its cases: builds the
     /// harness, enumerates and constrains the cases, and runs them on the
     /// work-stealing pool.
+    ///
+    /// Constraints for all cases are materialized in the shared netlist
+    /// first; the per-case checks then run in parallel over the read-only
+    /// netlist. When a tracer is configured, the whole run is bracketed by a
+    /// `run` span with `op` children for harness construction and
+    /// constraint generation, and a registry-totals event is emitted at the
+    /// end.
     pub fn run(&self, op: FpuOp) -> InstructionReport {
-        verify_with(&self.cfg, op, &self.options, &self.effective_policy())
+        let start = Instant::now();
+        let tracer = &self.config.tracer;
+        let mut run_span = tracer.span(SpanKind::Run, || format!("verify:{op:?}"));
+        let mut harness = {
+            let _span = run_span.child(SpanKind::Op, || "build_harness".into());
+            build_harness(&self.cfg, self.config.harness.clone())
+        };
+        let cases = enumerate_cases(&self.cfg, op);
+        let constraints: Vec<(CaseId, Vec<Signal>)> = {
+            let _span = run_span.child(SpanKind::Op, || "constraints".into());
+            cases
+                .iter()
+                .map(|&case| (case, harness.case_constraint_parts(op, case)))
+                .collect()
+        };
+        let cache_before = self.cache.as_ref().map(|c| c.stats());
+        let results = schedule_cases(
+            &harness,
+            op,
+            &constraints,
+            self,
+            &self.effective_policy(),
+            run_span.parent_id(),
+        );
+        let accumulated = results.iter().map(|r| r.duration).sum();
+        run_span.field("op", JsonValue::string(format!("{op:?}")));
+        run_span.field("cases", JsonValue::int(results.len() as u64));
+        run_span.field(
+            "all_hold",
+            JsonValue::Bool(results.iter().all(|r| r.holds())),
+        );
+        run_span.field(
+            "cached",
+            JsonValue::int(results.iter().filter(|r| r.cached).count() as u64),
+        );
+        drop(run_span);
+        finish_cache_accounting(self.cache.as_deref(), cache_before, tracer);
+        tracer.emit_totals();
+        tracer.flush();
+        InstructionReport {
+            op,
+            results,
+            wall: start.elapsed(),
+            accumulated,
+        }
     }
 
     /// Verifies several instructions back to back, reusing the session's
@@ -217,20 +201,31 @@ impl Session {
 
     /// Runs pre-built `(case, constraint)` pairs on the work-stealing pool
     /// — for callers that build or modify the harness themselves (fault
-    /// injection, custom case splits).
+    /// injection, custom case splits). The run gets its own `run` span and
+    /// end-of-run totals event.
     pub fn run_prepared(
         &self,
         harness: &Harness,
         op: FpuOp,
         constraints: &[(CaseId, Vec<Signal>)],
     ) -> Vec<CaseResult> {
-        run_prepared_traced(
+        let tracer = &self.config.tracer;
+        let mut run_span = tracer.span(SpanKind::Run, || format!("cases:{op:?}"));
+        let cache_before = self.cache.as_ref().map(|c| c.stats());
+        let results = schedule_cases(
             harness,
             op,
             constraints,
-            &self.options,
+            self,
             &self.effective_policy(),
-        )
+            run_span.parent_id(),
+        );
+        run_span.field("cases", JsonValue::int(results.len() as u64));
+        drop(run_span);
+        finish_cache_accounting(self.cache.as_deref(), cache_before, tracer);
+        tracer.emit_totals();
+        tracer.flush();
+        results
     }
 
     /// Runs one case down its escalation ladder on the calling thread.
@@ -248,9 +243,9 @@ impl Session {
             case,
             constraint_parts,
             policy.ladder(op, case),
-            CaseCtx::standalone(&self.options.tracer, self.options.cache.as_deref()),
+            CaseCtx::standalone(&self.config.tracer, self.cache.as_deref()),
         );
-        if let Some(cache) = &self.options.cache {
+        if let Some(cache) = &self.cache {
             cache.flush();
         }
         result
@@ -271,44 +266,25 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_options() {
-        let session = Session::new(&tiny_cfg())
-            .threads(2)
-            .sweep_before_sat(true)
-            .gc_threshold(123)
-            .bdd_cache_size(1 << 15)
-            .budget(EngineBudget {
-                node_limit: Some(1000),
-                conflict_limit: Some(50),
-            })
-            .escalate(false)
-            .stop_on_failure(true);
-        let opts = session.run_options();
-        assert_eq!(opts.threads, 2);
-        assert!(opts.sweep_before_sat);
-        assert_eq!(opts.gc_threshold, 123);
-        assert_eq!(opts.bdd_cache_size, 1 << 15);
-        assert_eq!(opts.node_budget, Some(1000));
-        assert_eq!(opts.conflict_budget, Some(50));
-        assert!(!opts.escalate);
-        assert!(opts.stop_on_failure);
-    }
-
-    #[test]
     fn session_verifies_tiny_mul() {
-        let report = Session::new(&tiny_cfg()).threads(2).run(FpuOp::Mul);
+        let report = Session::new(&tiny_cfg())
+            .configure(RunConfig {
+                threads: 2,
+                ..RunConfig::default()
+            })
+            .run(FpuOp::Mul);
         assert!(report.all_hold());
     }
 
     #[test]
     fn explicit_policy_overrides_derived() {
-        let session = Session::new(&tiny_cfg()).budget(EngineBudget {
-            node_limit: Some(7),
-            conflict_limit: None,
+        let session = Session::new(&tiny_cfg()).configure(RunConfig {
+            node_budget: Some(7),
+            ..RunConfig::default()
         });
         let derived = session.effective_policy();
         assert_eq!(derived.overlap[0].budget.node_limit, Some(7));
-        let custom = SchedulePolicy::from_options(&RunOptions::default());
+        let custom = SchedulePolicy::from_config(&RunConfig::default());
         let session = session.policy(custom);
         assert_eq!(
             session.effective_policy().overlap[0].budget.node_limit,

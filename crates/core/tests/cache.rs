@@ -79,7 +79,7 @@ fn netlist_mutation_changes_the_fingerprint() {
     let case = CaseId::Monolithic;
     let mut h = build_harness(&cfg, HarnessOptions::default());
     let clean_parts = h.case_constraint_parts(op, case);
-    let policy = SchedulePolicy::from_options(&RunConfig::default().to_run_options());
+    let policy = SchedulePolicy::from_config(&RunConfig::default());
     let ladder = policy.ladder(op, case);
 
     let clean_fp = Fingerprint::compute(&h, op, case, &clean_parts, ladder);

@@ -3,11 +3,12 @@
 //! deterministic order, and the cancellation token stops a sweep.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fmaverify::{
     build_harness, enumerate_cases, run_case_ladder, BddCaseEngine, CancellationToken, CaseEngine,
     CaseId, EngineBudget, EngineKind, EngineOutcome, EngineStage, EngineStats, EngineVerdict,
-    Error, HarnessOptions, SatCaseEngine, SchedulePolicy, Session, Verdict,
+    Error, HarnessOptions, RunConfig, SatCaseEngine, SchedulePolicy, Session, Verdict,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
@@ -20,7 +21,7 @@ fn tiny() -> FpuConfig {
     }
 }
 
-fn unlimited(engine: std::sync::Arc<dyn CaseEngine>) -> EngineStage {
+fn unlimited(engine: Arc<dyn CaseEngine>) -> EngineStage {
     EngineStage {
         engine,
         budget: EngineBudget::UNLIMITED,
@@ -40,14 +41,14 @@ fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
         op,
         case,
         &parts,
-        &[unlimited(BddCaseEngine::default().shared())],
+        &[unlimited(Arc::new(BddCaseEngine::default()))],
     );
     let by_sat = run_case_ladder(
         &h,
         op,
         case,
         &parts,
-        &[unlimited(SatCaseEngine { sweep_first: false }.shared())],
+        &[unlimited(Arc::new(SatCaseEngine { sweep_first: false }))],
     );
     assert_eq!(by_bdd.verdict, by_sat.verdict, "engines disagree");
     assert_eq!(by_bdd.verdict, Verdict::Holds);
@@ -62,11 +63,11 @@ fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
 fn tiny_budget_reports_budget_exceeded_without_escalation() {
     let cfg = tiny();
     let report = Session::new(&cfg)
-        .budget(EngineBudget {
-            node_limit: Some(16),
-            conflict_limit: None,
+        .configure(RunConfig {
+            node_budget: Some(16),
+            escalate: false,
+            ..RunConfig::default()
         })
-        .escalate(false)
         .run(FpuOp::Fma);
     let exceeded = report
         .results
@@ -89,11 +90,11 @@ fn escalation_recovers_every_budget_exceeded_case_with_unchanged_verdicts() {
     // Same sweep with a per-case BDD budget far too small: every overlap
     // case exceeds it, escalates to swept SAT, and still proves.
     let budgeted = Session::new(&cfg)
-        .budget(EngineBudget {
-            node_limit: Some(16),
-            conflict_limit: None,
+        .configure(RunConfig {
+            node_budget: Some(16),
+            escalate: true,
+            ..RunConfig::default()
         })
-        .escalate(true)
         .run(op);
     assert!(budgeted.all_hold(), "{:?}", budgeted.first_failure());
     assert!(budgeted.escalated_cases() > 0, "no case escalated");
@@ -121,7 +122,12 @@ fn result_order_is_deterministic_across_thread_counts() {
     let op = FpuOp::Add;
     let expected: Vec<CaseId> = enumerate_cases(&cfg, op);
     for threads in [1, 3] {
-        let report = Session::new(&cfg).threads(threads).run(op);
+        let report = Session::new(&cfg)
+            .configure(RunConfig {
+                threads,
+                ..RunConfig::default()
+            })
+            .run(op);
         let got: Vec<CaseId> = report.results.iter().map(|r| r.case).collect();
         assert_eq!(got, expected, "order differs at {threads} threads");
     }
@@ -186,13 +192,16 @@ fn stop_on_failure_cancels_the_remaining_cases() {
     assert!(constraints.len() > 2);
 
     let policy = SchedulePolicy {
-        overlap: vec![unlimited(std::sync::Arc::new(AlwaysFails))],
-        farout: vec![unlimited(std::sync::Arc::new(AlwaysFails))],
+        overlap: vec![unlimited(Arc::new(AlwaysFails))],
+        farout: vec![unlimited(Arc::new(AlwaysFails))],
     };
     let cancel = CancellationToken::new();
     let results = Session::new(&cfg)
-        .threads(1)
-        .stop_on_failure(true)
+        .configure(RunConfig {
+            threads: 1,
+            stop_on_failure: true,
+            ..RunConfig::default()
+        })
         .cancel(cancel.clone())
         .policy(policy)
         .run_prepared(&h, op, &constraints);
@@ -245,8 +254,8 @@ fn errors_escalate_to_the_next_rung() {
         case,
         &parts,
         &[
-            unlimited(std::sync::Arc::new(Panics)),
-            unlimited(SatCaseEngine { sweep_first: true }.shared()),
+            unlimited(Arc::new(Panics)),
+            unlimited(Arc::new(SatCaseEngine { sweep_first: true })),
         ],
     );
     assert_eq!(result.verdict, Verdict::Holds);
@@ -254,13 +263,7 @@ fn errors_escalate_to_the_next_rung() {
     assert_eq!(result.attempts[0].verdict, Verdict::Error);
 
     // Panicking rung alone: the error is surfaced, not swallowed.
-    let result = run_case_ladder(
-        &h,
-        op,
-        case,
-        &parts,
-        &[unlimited(std::sync::Arc::new(Panics))],
-    );
+    let result = run_case_ladder(&h, op, case, &parts, &[unlimited(Arc::new(Panics))]);
     assert_eq!(result.verdict, Verdict::Error);
     match result.error.as_ref().expect("typed error") {
         Error::EnginePanic { engine, message } => {

@@ -14,11 +14,22 @@ fn tiny() -> FpuConfig {
     }
 }
 
+/// A session on `threads` workers reporting to `tracer`.
+fn session(cfg: &FpuConfig, threads: usize, tracer: Tracer) -> Session {
+    Session::new(cfg).configure(
+        RunConfig {
+            threads,
+            ..RunConfig::default()
+        }
+        .tracer(tracer),
+    )
+}
+
 #[test]
 fn spans_nest_run_case_stage_across_a_real_run() {
     let cfg = tiny();
     let (tracer, sink) = Tracer::in_memory();
-    let report = Session::new(&cfg).tracer(tracer).threads(3).run(FpuOp::Add);
+    let report = session(&cfg, 3, tracer).run(FpuOp::Add);
     assert!(report.all_hold());
 
     let events = sink.events();
@@ -87,7 +98,7 @@ fn spans_nest_run_case_stage_across_a_real_run() {
 fn counters_aggregate_across_scheduler_threads() {
     let cfg = tiny();
     let (tracer, sink) = Tracer::in_memory();
-    let report = Session::new(&cfg).tracer(tracer).threads(3).run(FpuOp::Fma);
+    let report = session(&cfg, 3, tracer).run(FpuOp::Fma);
     assert!(report.all_hold());
 
     let events = sink.events();
@@ -125,7 +136,7 @@ fn counters_aggregate_across_scheduler_threads() {
 fn jsonl_round_trip_reproduces_per_case_columns() {
     let cfg = tiny();
     let (tracer, sink) = Tracer::in_memory();
-    let report = Session::new(&cfg).tracer(tracer).threads(2).run(FpuOp::Add);
+    let report = session(&cfg, 2, tracer).run(FpuOp::Add);
     assert!(report.all_hold());
 
     // Serialize to JSONL text and parse it back with the crate's own
@@ -176,9 +187,9 @@ fn jsonl_round_trip_reproduces_per_case_columns() {
 #[test]
 fn disabled_tracer_changes_nothing_and_emits_nothing() {
     let cfg = tiny();
-    let base = Session::new(&cfg).threads(2).run(FpuOp::Add);
+    let base = session(&cfg, 2, Tracer::disabled()).run(FpuOp::Add);
     let (tracer, sink) = Tracer::in_memory();
-    let traced = Session::new(&cfg).tracer(tracer).threads(2).run(FpuOp::Add);
+    let traced = session(&cfg, 2, tracer).run(FpuOp::Add);
 
     // Identical verdicts and case order with and without telemetry.
     assert_eq!(base.results.len(), traced.results.len());

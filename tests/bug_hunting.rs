@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use fmaverify::{
-    build_harness, check_miter_bdd, check_miter_sat, enumerate_cases, inject_fault,
+    build_harness, check_miter_bdd_parts, check_miter_sat_parts, enumerate_cases, inject_fault,
     BddEngineOptions, CaseId, HarnessOptions, MutationKind, SatEngineOptions,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
@@ -144,13 +144,21 @@ fn injected_faults_are_caught_with_oracle_confirmed_counterexamples() {
             let constraint = mutated.find_probe(probe).expect("constraint probe");
             let failed = match case {
                 CaseId::FarOut | CaseId::Monolithic => {
-                    let out =
-                        check_miter_sat(&mutated, miter, constraint, &SatEngineOptions::default());
+                    let out = check_miter_sat_parts(
+                        &mutated,
+                        miter,
+                        &[constraint],
+                        &SatEngineOptions::default(),
+                    );
                     (!out.holds).then_some(out.counterexample).flatten()
                 }
                 _ => {
-                    let out =
-                        check_miter_bdd(&mutated, miter, constraint, &BddEngineOptions::default());
+                    let out = check_miter_bdd_parts(
+                        &mutated,
+                        miter,
+                        &[constraint],
+                        &BddEngineOptions::default(),
+                    );
                     (!out.holds).then_some(out.counterexample).flatten()
                 }
             };

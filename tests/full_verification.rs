@@ -5,7 +5,7 @@
 
 use fmaverify::{
     enumerate_cases, prove_completeness, prove_multiplier_soundness, EngineKind, HarnessOptions,
-    Session,
+    RunConfig, Session,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_softfloat::FpFormat;
@@ -99,9 +99,12 @@ fn verification_without_isolation_also_passes_for_add() {
     // collapse the multiplier.
     let cfg = tiny(DenormalMode::FlushToZero);
     let report = Session::new(&cfg)
-        .harness_options(HarnessOptions {
-            isolate_multiplier: false,
-            ..HarnessOptions::default()
+        .configure(RunConfig {
+            harness: HarnessOptions {
+                isolate_multiplier: false,
+                ..HarnessOptions::default()
+            },
+            ..RunConfig::default()
         })
         .run(FpuOp::Add);
     assert!(report.all_hold(), "{:?}", report.first_failure());

@@ -2,8 +2,8 @@
 //! engine agreement, isolation consistency, and minimization equivalence.
 
 use fmaverify::{
-    build_harness, check_miter_bdd, check_miter_sat, enumerate_cases, BddEngineOptions, CaseId,
-    HarnessOptions, Minimize, SatEngineOptions,
+    build_harness, check_miter_bdd_parts, check_miter_sat_parts, enumerate_cases, BddEngineOptions,
+    CaseId, HarnessOptions, Minimize, SatEngineOptions,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::BitSim;
@@ -92,16 +92,16 @@ fn bdd_and_sat_engines_agree_per_case() {
     assert!(sample.len() >= 3);
     for case in sample {
         let constraint = h.case_constraint(FpuOp::Fma, case);
-        let bdd = check_miter_bdd(
+        let bdd = check_miter_bdd_parts(
             &h.netlist,
             h.miter,
-            constraint,
+            &[constraint],
             &BddEngineOptions::default(),
         );
-        let sat = check_miter_sat(
+        let sat = check_miter_sat_parts(
             &h.netlist,
             h.miter,
-            constraint,
+            &[constraint],
             &SatEngineOptions::default(),
         );
         assert!(!bdd.aborted && !sat.unknown);
@@ -122,10 +122,10 @@ fn minimization_strategies_agree() {
     };
     let constraint = h.case_constraint(FpuOp::Fma, case);
     for minimize in [Minimize::Constrain, Minimize::Restrict, Minimize::None] {
-        let out = check_miter_bdd(
+        let out = check_miter_bdd_parts(
             &h.netlist,
             h.miter,
-            constraint,
+            &[constraint],
             &BddEngineOptions {
                 minimize,
                 ..BddEngineOptions::default()
@@ -193,10 +193,10 @@ fn far_out_discharged_by_sat_quickly() {
     let cfg = tiny();
     let mut h = build_harness(&cfg, HarnessOptions::default());
     let farout = h.case_constraint(FpuOp::Fma, CaseId::FarOut);
-    let out = check_miter_sat(
+    let out = check_miter_sat_parts(
         &h.netlist,
         h.miter,
-        farout,
+        &[farout],
         &SatEngineOptions {
             sweep_first: true,
             conflict_budget: None,
