@@ -17,7 +17,8 @@ use crate::aig::{Netlist, Node, Signal};
 /// first (see [`crate::unroll`]) for sequential checks.
 #[derive(Debug)]
 pub struct SatEncoder {
-    map: HashMap<u32, Lit>,
+    /// The literal of each encoded node, indexed by node id.
+    map: Vec<Option<Lit>>,
     const_false: Option<Lit>,
 }
 
@@ -31,7 +32,7 @@ impl SatEncoder {
     /// Creates an empty encoder.
     pub fn new() -> SatEncoder {
         SatEncoder {
-            map: HashMap::new(),
+            map: Vec::new(),
             const_false: None,
         }
     }
@@ -48,13 +49,16 @@ impl SatEncoder {
     }
 
     fn node_lit(&mut self, netlist: &Netlist, solver: &mut Solver, node: u32) -> Lit {
-        if let Some(&l) = self.map.get(&node) {
+        if self.map.len() < netlist.num_nodes() {
+            self.map.resize(netlist.num_nodes(), None);
+        }
+        if let Some(l) = self.map[node as usize] {
             return l;
         }
         // Iterative DFS to avoid stack overflow on deep cones.
         let mut stack = vec![node];
         while let Some(&id) = stack.last() {
-            if self.map.contains_key(&id) {
+            if self.map[id as usize].is_some() {
                 stack.pop();
                 continue;
             }
@@ -65,18 +69,18 @@ impl SatEncoder {
                         solver.add_clause(&[!v]);
                         v
                     });
-                    self.map.insert(id, l);
+                    self.map[id as usize] = Some(l);
                     stack.pop();
                 }
                 Node::Input { .. } | Node::Latch { .. } => {
                     let l = solver.new_var().positive();
-                    self.map.insert(id, l);
+                    self.map[id as usize] = Some(l);
                     stack.pop();
                 }
                 Node::And(a, b) => {
                     let (a, b) = (*a, *b);
-                    let need_a = !self.map.contains_key(&(a.node().index() as u32));
-                    let need_b = !self.map.contains_key(&(b.node().index() as u32));
+                    let need_a = self.map[a.node().index()].is_none();
+                    let need_b = self.map[b.node().index()].is_none();
                     if need_a {
                         stack.push(a.node().index() as u32);
                     }
@@ -90,18 +94,18 @@ impl SatEncoder {
                         solver.add_clause(&[!z, la]);
                         solver.add_clause(&[!z, lb]);
                         solver.add_clause(&[z, !la, !lb]);
-                        self.map.insert(id, z);
+                        self.map[id as usize] = Some(z);
                         stack.pop();
                     }
                 }
             }
         }
-        self.map[&node]
+        self.map[node as usize].expect("encoded")
     }
 
     #[inline]
     fn edge_lit(&self, sig: Signal) -> Lit {
-        let l = self.map[&(sig.node().index() as u32)];
+        let l = self.map[sig.node().index()].expect("encoded");
         if sig.is_inverted() {
             !l
         } else {
@@ -113,8 +117,10 @@ impl SatEncoder {
     /// been encoded.
     pub fn existing_lit(&self, sig: Signal) -> Option<Lit> {
         self.map
-            .get(&(sig.node().index() as u32))
-            .map(|&l| if sig.is_inverted() { !l } else { l })
+            .get(sig.node().index())
+            .copied()
+            .flatten()
+            .map(|l| if sig.is_inverted() { !l } else { l })
     }
 }
 

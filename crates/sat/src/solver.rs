@@ -6,21 +6,139 @@
 //! deletion of learnt clauses. This is the workhorse engine the paper uses for
 //! the far-out cases, the multiply instruction, the multiplier-isolation
 //! soundness obligations, and SAT sweeping.
+//!
+//! Every clause lives inline in one flat `u32` arena (see [`ClauseArena`]),
+//! so a watcher visit touches one contiguous block, and the value of a
+//! literal is one load from a per-literal table. Deleted clauses are only
+//! marked; one sweep over the watch lists drops their watchers, and the
+//! arena is compacted in place once more than half of it is garbage.
 
 use crate::lit::{LBool, Lit, Var};
 
-/// Index of a clause in the solver's clause arena.
+/// Offset of a clause's header in the [`ClauseArena`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    activity: f64,
-    lbd: u32,
-    #[allow(dead_code)] // recorded for debugging / future proof logging
-    learnt: bool,
-    deleted: bool,
+impl ClauseRef {
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Every clause in one `Vec<u32>`. A clause at offset `c` is laid out as:
+///
+/// | words | content |
+/// |---|---|
+/// | `c` | `len << 2 \| DELETED \| LEARNT` |
+/// | `c + 1` | forwarding offset, written only while compacting |
+/// | `c + 2 ..` | the `len` literal codes |
+/// | learnt only, after the literals | LBD, then the `f64` activity as two words |
+///
+/// The literals always start at `c + 2`, so propagation never branches on
+/// the clause kind. Problem clauses carry no activity or LBD: neither is
+/// ever read for them.
+#[derive(Debug, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
+    /// Words occupied by deleted clauses, reclaimed by [`Solver::compact`].
+    wasted: usize,
+}
+
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+/// Words before the literals.
+const HEADER: usize = 2;
+/// Learnt-only words after the literals: LBD and activity.
+const LEARNT_EXTRA: usize = 3;
+
+impl ClauseArena {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
+        let c = ClauseRef(u32::try_from(self.words.len()).expect("clause arena exceeds 4G words"));
+        assert!(lits.len() < 1 << 30, "clause too long");
+        let flags = if learnt { LEARNT } else { 0 };
+        self.words.extend([((lits.len() as u32) << 2) | flags, 0]);
+        self.words.extend(lits.iter().map(|l| l.code() as u32));
+        if learnt {
+            // The LBD, then activity 0.0 (all-zero bits).
+            self.words.extend([lbd, 0, 0]);
+        }
+        c
+    }
+
+    #[inline]
+    fn len(&self, c: ClauseRef) -> usize {
+        (self.words[c.index()] >> 2) as usize
+    }
+
+    #[inline]
+    fn is_learnt(&self, c: ClauseRef) -> bool {
+        self.words[c.index()] & LEARNT != 0
+    }
+
+    #[inline]
+    fn is_deleted(&self, c: ClauseRef) -> bool {
+        self.words[c.index()] & DELETED != 0
+    }
+
+    /// Total words the clause occupies, header and extras included.
+    fn size(&self, c: ClauseRef) -> usize {
+        let extra = if self.is_learnt(c) { LEARNT_EXTRA } else { 0 };
+        HEADER + self.len(c) + extra
+    }
+
+    fn delete(&mut self, c: ClauseRef) {
+        debug_assert!(!self.is_deleted(c));
+        self.words[c.index()] |= DELETED;
+        self.wasted += self.size(c);
+    }
+
+    #[inline]
+    fn lit(&self, c: ClauseRef, k: usize) -> Lit {
+        Lit::from_code(self.words[c.index() + HEADER + k] as usize)
+    }
+
+    /// The literal codes of a clause.
+    #[inline]
+    fn lits_mut(&mut self, c: ClauseRef) -> &mut [u32] {
+        let start = c.index() + HEADER;
+        let len = self.len(c);
+        &mut self.words[start..start + len]
+    }
+
+    fn extra(&self, c: ClauseRef) -> usize {
+        debug_assert!(self.is_learnt(c));
+        c.index() + HEADER + self.len(c)
+    }
+
+    fn lbd(&self, c: ClauseRef) -> u32 {
+        self.words[self.extra(c)]
+    }
+
+    fn activity(&self, c: ClauseRef) -> f64 {
+        let x = self.extra(c);
+        f64::from_bits(u64::from(self.words[x + 1]) | (u64::from(self.words[x + 2]) << 32))
+    }
+
+    fn set_activity(&mut self, c: ClauseRef, a: f64) {
+        let x = self.extra(c);
+        let bits = a.to_bits();
+        self.words[x + 1] = bits as u32;
+        self.words[x + 2] = (bits >> 32) as u32;
+    }
+
+    /// Offsets of every clause, live or deleted, in arena order.
+    #[cfg(test)]
+    fn refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        let mut c = 0;
+        std::iter::from_fn(move || {
+            (c < self.words.len()).then(|| {
+                let r = ClauseRef(c as u32);
+                c += self.size(r);
+                r
+            })
+        })
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -168,10 +286,12 @@ impl VarOrderHeap {
 /// ```
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    free_list: Vec<u32>,
+    ca: ClauseArena,
+    /// Watchers of the clauses that become unit or false when the indexing
+    /// literal becomes true (that is, clauses watching its negation).
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Current value of every literal, indexed by [`Lit::code`].
+    values: Vec<LBool>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
     var_inc: f64,
@@ -186,12 +306,22 @@ pub struct Solver {
     seen: Vec<bool>,
     analyze_stack: Vec<Lit>,
     analyze_toclear: Vec<Lit>,
+    /// Scratch buffer for the clause being learnt.
+    learnt: Vec<Lit>,
+    /// `lbd_stamp[level] == lbd_gen` marks a level already counted by the
+    /// current [`Solver::compute_lbd`] call.
+    lbd_stamp: Vec<u64>,
+    lbd_gen: u64,
     learnt_refs: Vec<ClauseRef>,
     max_learnts: f64,
     conflict_budget: Option<u64>,
     stats: SolverStats,
     conflict_assumptions: Vec<Lit>,
     model: Vec<LBool>,
+    #[cfg(test)]
+    reductions: u64,
+    #[cfg(test)]
+    compactions: u64,
 }
 
 impl Solver {
@@ -208,7 +338,7 @@ impl Solver {
 
     /// Returns the number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Returns aggregate statistics for this solver.
@@ -238,8 +368,9 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.num_vars());
+        self.values.push(LBool::Undef);
+        self.values.push(LBool::Undef);
         self.polarity.push(false);
         self.activity.push(0.0);
         self.reason.push(None);
@@ -254,7 +385,7 @@ impl Solver {
     /// Current value of a literal under the partial assignment.
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor(!l.is_positive())
+        self.values[l.code()]
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -307,33 +438,16 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_new_clause(out, false);
+                self.attach_new_clause(&out, false, 0);
                 true
             }
         }
     }
 
-    fn alloc_clause(&mut self, c: Clause) -> ClauseRef {
-        if let Some(slot) = self.free_list.pop() {
-            self.clauses[slot as usize] = c;
-            ClauseRef(slot)
-        } else {
-            self.clauses.push(c);
-            ClauseRef((self.clauses.len() - 1) as u32)
-        }
-    }
-
-    fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_new_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let w0 = lits[0];
-        let w1 = lits[1];
-        let cref = self.alloc_clause(Clause {
-            lits,
-            activity: 0.0,
-            lbd: 0,
-            learnt,
-            deleted: false,
-        });
+        let (w0, w1) = (lits[0], lits[1]);
+        let cref = self.ca.alloc(lits, learnt, lbd);
         self.watches[(!w0).code()].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).code()].push(Watcher { cref, blocker: w0 });
         if learnt {
@@ -347,7 +461,8 @@ impl Solver {
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert!(self.lit_value(l).is_undef());
         let vi = l.var().index();
-        self.assigns[vi] = LBool::from_bool(l.is_positive());
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         self.level[vi] = self.trail_lim.len() as u32;
         self.reason[vi] = reason;
         self.trail.push(l);
@@ -355,80 +470,87 @@ impl Solver {
 
     /// Runs unit propagation; returns the conflicting clause if any.
     fn propagate(&mut self) -> Option<ClauseRef> {
-        let mut conflict = None;
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
-            let mut ws = std::mem::take(&mut self.watches[p.code()]);
+        // Borrow the fields apart so the hot loop keeps them in registers.
+        let Solver {
+            ca,
+            watches,
+            values,
+            trail,
+            trail_lim,
+            reason,
+            level,
+            qhead,
+            stats,
+            ..
+        } = self;
+        let decision_level = trail_lim.len() as u32;
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            stats.propagations += 1;
+            let false_lit = (!p).code() as u32;
+            let mut ws = std::mem::take(&mut watches[p.code()]);
             let mut keep = 0;
             let mut wi = 0;
             'watchers: while wi < ws.len() {
                 let w = ws[wi];
                 wi += 1;
-                if self.lit_value(w.blocker).is_true() {
+                if values[w.blocker.code()].is_true() {
                     ws[keep] = w;
                     keep += 1;
                     continue;
                 }
                 let cref = w.cref;
+                debug_assert!(!ca.is_deleted(cref));
                 // Inspect the clause; make sure the false literal is lits[1].
-                let (first, len) = {
-                    let c = &mut self.clauses[cref.0 as usize];
-                    debug_assert!(!c.deleted);
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], !p);
-                    (c.lits[0], c.lits.len())
+                let lits = ca.lits_mut(cref);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let first = Lit::from_code(lits[0] as usize);
+                let watcher = Watcher {
+                    cref,
+                    blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first).is_true() {
-                    ws[keep] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                if first != w.blocker && values[first.code()].is_true() {
+                    ws[keep] = watcher;
                     keep += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..len {
-                    let lk = self.clauses[cref.0 as usize].lits[k];
-                    if !self.lit_value(lk).is_false() {
-                        let c = &mut self.clauses[cref.0 as usize];
-                        c.lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
+                for k in 2..lits.len() {
+                    let lk = Lit::from_code(lits[k] as usize);
+                    if !values[lk.code()].is_false() {
+                        lits.swap(1, k);
+                        watches[(!lk).code()].push(watcher);
                         continue 'watchers;
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[keep] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[keep] = watcher;
                 keep += 1;
-                if self.lit_value(first).is_false() {
+                if values[first.code()].is_false() {
                     // Conflict: copy remaining watchers back and stop.
-                    while wi < ws.len() {
-                        ws[keep] = ws[wi];
-                        keep += 1;
-                        wi += 1;
-                    }
-                    self.qhead = self.trail.len();
-                    conflict = Some(cref);
-                } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    ws.copy_within(wi.., keep);
+                    keep += ws.len() - wi;
+                    ws.truncate(keep);
+                    watches[p.code()] = ws;
+                    *qhead = trail.len();
+                    return Some(cref);
                 }
+                // Unit: enqueue `first` with this clause as its reason.
+                debug_assert!(values[first.code()].is_undef());
+                values[first.code()] = LBool::True;
+                values[(!first).code()] = LBool::False;
+                level[first.var().index()] = decision_level;
+                reason[first.var().index()] = Some(cref);
+                trail.push(first);
             }
             ws.truncate(keep);
-            self.watches[p.code()] = ws;
-            if conflict.is_some() {
-                break;
-            }
+            watches[p.code()] = ws;
         }
-        conflict
+        None
     }
 
     fn decision_level(&self) -> u32 {
@@ -447,7 +569,8 @@ impl Solver {
         for i in (lim..self.trail.len()).rev() {
             let l = self.trail[i];
             let vi = l.var().index();
-            self.assigns[vi] = LBool::Undef;
+            self.values[l.code()] = LBool::Undef;
+            self.values[(!l).code()] = LBool::Undef;
             self.polarity[vi] = l.is_positive();
             self.reason[vi] = None;
             self.order.insert(l.var(), &self.activity);
@@ -472,12 +595,20 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
+    /// Bumps a learnt clause's activity, rescaling every learnt activity
+    /// (and `cla_inc`) when it passes 1e20. Problem clauses have no activity:
+    /// bumping them would let a never-rescaled clause trigger a rescale on
+    /// every bump and drive `cla_inc` to zero.
     fn clause_bump(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.0 as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
+        if !self.ca.is_learnt(cref) {
+            return;
+        }
+        let a = self.ca.activity(cref) + self.cla_inc;
+        self.ca.set_activity(cref, a);
+        if a > 1e20 {
             for &r in &self.learnt_refs {
-                self.clauses[r.0 as usize].activity *= 1e-20;
+                let a = self.ca.activity(r);
+                self.ca.set_activity(r, a * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
@@ -487,10 +618,12 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, conflict: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut cref = conflict;
@@ -498,9 +631,9 @@ impl Solver {
 
         loop {
             self.clause_bump(cref);
-            let lits = self.clauses[cref.0 as usize].lits.clone();
             let start = usize::from(p.is_some());
-            for &q in &lits[start..] {
+            for k in start..self.ca.len(cref) {
+                let q = self.ca.lit(cref, k);
                 let vi = q.var().index();
                 if !self.seen[vi] && self.level[vi] > 0 {
                     self.seen[vi] = true;
@@ -531,20 +664,24 @@ impl Solver {
         learnt[0] = !p.expect("UIP literal");
 
         // Conflict-clause minimization: drop literals implied by the rest.
-        self.analyze_toclear = learnt.clone();
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&learnt);
         for l in &self.analyze_toclear {
             self.seen[l.var().index()] = true;
         }
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.lit_redundant(l))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
-        for l in std::mem::take(&mut self.analyze_toclear) {
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if !self.lit_redundant(l) {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
+        for l in &self.analyze_toclear {
             self.seen[l.var().index()] = false;
         }
+        self.analyze_toclear.clear();
         for l in &learnt {
             self.seen[l.var().index()] = false;
         }
@@ -562,7 +699,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, bt_level)
+        self.learnt = learnt;
+        bt_level
     }
 
     /// Checks whether `l` is redundant in the learnt clause: every literal in
@@ -582,8 +720,8 @@ impl Solver {
                 }
                 return false;
             };
-            let lits = self.clauses[r.0 as usize].lits.clone();
-            for &x in &lits[1..] {
+            for k in 1..self.ca.len(r) {
+                let x = self.ca.lit(r, k);
                 let vi = x.var().index();
                 if !self.seen[vi] && self.level[vi] > 0 {
                     if self.reason[vi].is_none() {
@@ -601,16 +739,27 @@ impl Solver {
         true
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal block distance of `self.learnt`: its number of distinct
+    /// decision levels.
+    fn compute_lbd(&mut self) -> u32 {
+        self.lbd_gen += 1;
+        let mut lbd = 0;
+        for l in &self.learnt {
+            let lvl = self.level[l.var().index()] as usize;
+            if lvl >= self.lbd_stamp.len() {
+                self.lbd_stamp.resize(lvl + 1, 0);
+            }
+            if self.lbd_stamp[lvl] != self.lbd_gen {
+                self.lbd_stamp[lvl] = self.lbd_gen;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v.index()].is_undef() {
+            if self.values[v.positive().code()].is_undef() {
                 return Some(v);
             }
         }
@@ -622,44 +771,90 @@ impl Solver {
         // keeping binary and locked (reason) clauses.
         let mut refs = std::mem::take(&mut self.learnt_refs);
         refs.sort_by(|&a, &b| {
-            let ca = &self.clauses[a.0 as usize];
-            let cb = &self.clauses[b.0 as usize];
-            ca.lbd.cmp(&cb.lbd).then(
-                cb.activity
-                    .partial_cmp(&ca.activity)
+            self.ca.lbd(a).cmp(&self.ca.lbd(b)).then(
+                self.ca
+                    .activity(b)
+                    .partial_cmp(&self.ca.activity(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let keep_count = refs.len() / 2;
-        let mut kept = Vec::with_capacity(keep_count + 8);
-        for (i, &r) in refs.iter().enumerate() {
-            let locked = {
-                let c = &self.clauses[r.0 as usize];
-                let w = c.lits[0];
-                self.reason[w.var().index()] == Some(r) && !self.lit_value(w).is_undef()
-            };
-            let c = &self.clauses[r.0 as usize];
-            if i < keep_count || c.lits.len() == 2 || locked || c.lbd <= 2 {
-                kept.push(r);
+        let mut kept = 0;
+        for i in 0..refs.len() {
+            let r = refs[i];
+            let w = self.ca.lit(r, 0);
+            let locked = self.reason[w.var().index()] == Some(r) && !self.lit_value(w).is_undef();
+            if i < keep_count || self.ca.len(r) == 2 || locked || self.ca.lbd(r) <= 2 {
+                refs[kept] = r;
+                kept += 1;
             } else {
-                self.detach_clause(r);
+                self.ca.delete(r);
             }
         }
-        self.learnt_refs = kept;
+        refs.truncate(kept);
+        self.learnt_refs = refs;
         self.stats.learnt_clauses = self.learnt_refs.len() as u64;
+        // One sweep drops every watcher of a deleted clause, in order.
+        let ca = &self.ca;
+        for ws in &mut self.watches {
+            ws.retain(|w| !ca.is_deleted(w.cref));
+        }
+        if self.ca.wasted * 2 > self.ca.words.len() {
+            self.compact();
+        }
+        #[cfg(test)]
+        {
+            self.reductions += 1;
+            self.check_invariants();
+        }
     }
 
-    fn detach_clause(&mut self, cref: ClauseRef) {
-        let (w0, w1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!w0).code()].retain(|w| w.cref != cref);
-        self.watches[(!w1).code()].retain(|w| w.cref != cref);
-        let c = &mut self.clauses[cref.0 as usize];
-        c.deleted = true;
-        c.lits = Vec::new();
-        self.free_list.push(cref.0);
+    /// Slides every live clause down over the deleted ones, in place.
+    ///
+    /// Live clauses keep their relative order and only move down, so each
+    /// one's new offset can be written into its old header's spare word
+    /// first; every reference is then remapped through it before anything
+    /// moves.
+    fn compact(&mut self) {
+        let mut to = 0u32;
+        let mut from = 0;
+        while from < self.ca.words.len() {
+            let c = ClauseRef(from as u32);
+            let size = self.ca.size(c);
+            if !self.ca.is_deleted(c) {
+                self.ca.words[from + 1] = to;
+                to += size as u32;
+            }
+            from += size;
+        }
+        let forward = |ca: &ClauseArena, c: ClauseRef| ClauseRef(ca.words[c.index() + 1]);
+        for ws in &mut self.watches {
+            for w in ws {
+                w.cref = forward(&self.ca, w.cref);
+            }
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = forward(&self.ca, *r);
+        }
+        for r in &mut self.learnt_refs {
+            *r = forward(&self.ca, *r);
+        }
+        let mut from = 0;
+        while from < self.ca.words.len() {
+            let c = ClauseRef(from as u32);
+            let size = self.ca.size(c);
+            if !self.ca.is_deleted(c) {
+                let to = forward(&self.ca, c).index();
+                self.ca.words.copy_within(from..from + size, to);
+            }
+            from += size;
+        }
+        self.ca.words.truncate(to as usize);
+        self.ca.wasted = 0;
+        #[cfg(test)]
+        {
+            self.compactions += 1;
+        }
     }
 
     /// Solves the formula with no assumptions.
@@ -716,18 +911,19 @@ impl Solver {
                     self.ok = false;
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 // Backtracking may undo assumption levels; they are re-assumed
                 // by the decision loop below, which also detects failed
                 // assumptions.
                 self.cancel_until(bt);
-                let lbd = self.compute_lbd(&learnt);
-                if learnt.len() == 1 {
-                    self.unchecked_enqueue(learnt[0], None);
+                let lbd = self.compute_lbd();
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    self.unchecked_enqueue(asserting, None);
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach_new_clause(learnt, true);
-                    self.clauses[cref.0 as usize].lbd = lbd;
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let cref = self.attach_new_clause(&learnt, true, lbd);
+                    self.learnt = learnt;
                     self.clause_bump(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                 }
@@ -768,7 +964,7 @@ impl Solver {
                 }
                 match self.pick_branch_var() {
                     None => {
-                        self.model = self.assigns.clone();
+                        self.model = self.values.iter().step_by(2).copied().collect();
                         return Some(SolveResult::Sat);
                     }
                     Some(v) => {
@@ -809,8 +1005,8 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let lits = self.clauses[r.0 as usize].lits.clone();
-                    for &x in &lits[1..] {
+                    for k in 1..self.ca.len(r) {
+                        let x = self.ca.lit(r, k);
                         if self.level[x.var().index()] > 0 {
                             self.seen[x.var().index()] = true;
                         }
@@ -833,6 +1029,50 @@ impl Solver {
     /// Value of a literal in the most recent satisfying assignment.
     pub fn model_lit_value(&self, l: Lit) -> LBool {
         self.model_value(l.var()).xor(!l.is_positive())
+    }
+
+    /// Checks the clause store's structural invariants, panicking on the
+    /// first violation:
+    /// - every live clause is watched exactly twice, through the negations
+    ///   of its first two literals, and no watcher points at a deleted one;
+    /// - every assigned variable's reason is a live clause whose first
+    ///   literal is the one it implied;
+    /// - `learnt_refs` lists exactly the live learnt clauses, and `wasted`
+    ///   counts exactly the words of the deleted ones.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        let mut watched = std::collections::HashMap::new();
+        for (code, ws) in self.watches.iter().enumerate() {
+            for w in ws {
+                assert!(!self.ca.is_deleted(w.cref), "watcher of a deleted clause");
+                let watched_lit = !Lit::from_code(code);
+                let k = (0..2)
+                    .find(|&k| self.ca.lit(w.cref, k) == watched_lit)
+                    .expect("watcher not on lits[0..2]");
+                let slots: &mut [u32; 2] = watched.entry(w.cref.0).or_default();
+                slots[k] += 1;
+            }
+        }
+        let (mut live_learnts, mut wasted) = (0, 0);
+        for c in self.ca.refs() {
+            if self.ca.is_deleted(c) {
+                wasted += self.ca.size(c);
+                continue;
+            }
+            assert_eq!(watched.get(&c.0), Some(&[1, 1]), "clause {c:?} watches");
+            live_learnts += usize::from(self.ca.is_learnt(c));
+        }
+        assert_eq!(wasted, self.ca.wasted);
+        assert_eq!(live_learnts, self.learnt_refs.len());
+        for &r in &self.learnt_refs {
+            assert!(self.ca.is_learnt(r) && !self.ca.is_deleted(r));
+        }
+        for &l in &self.trail {
+            if let Some(r) = self.reason[l.var().index()] {
+                assert!(!self.ca.is_deleted(r), "reason is a deleted clause");
+                assert_eq!(self.ca.lit(r, 0), l, "reason does not imply lits[0]");
+            }
+        }
     }
 }
 
@@ -979,6 +1219,80 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unknown);
         s.set_conflict_budget(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn problem_clause_bumps_leave_cla_inc_finite() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        s.add_clause(&[v[0], v[1], v[2]]);
+        let problem = ClauseRef(0);
+        assert!(!s.ca.is_learnt(problem));
+        let learnt = s.attach_new_clause(&[!v[0], v[1]], true, 2);
+        s.cla_inc = 1e19;
+        for _ in 0..1000 {
+            s.clause_bump(problem);
+            s.clause_decay();
+            assert!(s.cla_inc.is_finite() && s.cla_inc > 1e19, "{}", s.cla_inc);
+        }
+        // A learnt clause still triggers exactly one rescale when it passes
+        // the threshold.
+        let mut bumps = 0;
+        while s.cla_inc > 1e19 {
+            s.clause_bump(learnt);
+            bumps += 1;
+        }
+        assert_eq!(bumps, 4);
+        assert!(s.cla_inc > 0.0 && s.ca.activity(learnt) < 2.0);
+    }
+
+    /// Planted random 3-SAT, large enough for several clause-DB reductions
+    /// and an arena compaction, solved incrementally under assumptions.
+    /// `reduce_db` checks the invariants after every reduction; this test
+    /// also checks them between calls.
+    #[test]
+    fn arena_invariants_hold_across_reductions_and_compaction() {
+        let mut s = Solver::new();
+        let n = 250;
+        let v = vars(&mut s, n);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let planted: Vec<Lit> = v
+            .iter()
+            .map(|&l| if next() & 1 == 1 { l } else { !l })
+            .collect();
+        let mut added = 0;
+        while added < n * 43 / 10 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| {
+                    let l = planted[next() as usize % n];
+                    if next() & 1 == 1 {
+                        l
+                    } else {
+                        !l
+                    }
+                })
+                .collect();
+            if c.iter().any(|l| planted.contains(l)) {
+                s.add_clause(&c);
+                added += 1;
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Sat);
+        s.check_invariants();
+        for k in 0..8 {
+            let mut assumptions = planted[k * 10..k * 10 + 16].to_vec();
+            assumptions[k] = !assumptions[k];
+            s.solve_with_assumptions(&assumptions);
+            s.check_invariants();
+        }
+        assert!(s.reductions >= 3, "{} reductions", s.reductions);
+        assert!(s.compactions >= 1, "{} compactions", s.compactions);
     }
 
     #[test]
