@@ -70,7 +70,7 @@ fn main() {
                 cr.case,
                 cr.op
             );
-            assert_eq!(cr.engine, wr.engine);
+            assert_eq!(cr.engine(), wr.engine());
         }
     }
 

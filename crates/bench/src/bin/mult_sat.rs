@@ -44,11 +44,12 @@ fn main() {
         &format!("{} case(s)", plain.results.len()),
         plain.results.len() == 1,
     );
+    let engine = plain.results[0].engine();
     compare(
         "discharged by SAT",
         "satisfiability checking",
-        &format!("engine {:?}", plain.results[0].engine),
-        plain.results[0].engine == EngineKind::Sat,
+        &format!("engine {}", engine.map_or("none", EngineKind::label)),
+        engine == Some(EngineKind::Sat),
     );
     compare(
         "denormalization handled in-solver",

@@ -41,13 +41,16 @@ use fmaverify_netlist::{Sha256, Signal};
 use crate::cases::CaseId;
 use crate::engine::{EngineBudget, EngineKind, EngineStats};
 use crate::harness::Harness;
-use crate::json::{JsonValue, ToJson};
+use crate::json::{duration_json, JsonValue, ToJson};
 use crate::runner::{CaseAttempt, CounterExample, EngineStage, Verdict};
 use crate::trace::MetricSet;
 
 /// Version stamp of the on-disk entry format; folded into every
 /// [`Fingerprint`], so bumping it invalidates the whole cache.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 dropped the entry-level `verdict`, `engine`, `engine_name`
+/// and `stats` copies: they are read from the last attempt.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// How a run uses the proof cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -136,24 +139,25 @@ fn encode_opt(v: Option<u64>) -> u64 {
     v.map(|v| v.saturating_add(1)).unwrap_or(0)
 }
 
-/// One memoized case proof: the definite verdict and the effort that
-/// produced it, sufficient to replay a [`crate::runner::CaseResult`].
+/// One memoized case proof: the attempts that decided it, sufficient to
+/// replay a [`crate::runner::CaseResult`].
 #[derive(Clone, Debug)]
 pub struct CachedCase {
-    /// The verdict ([`Verdict::Holds`] or [`Verdict::Fails`] only).
-    pub verdict: Verdict,
-    /// The deciding engine kind.
-    pub engine: EngineKind,
-    /// The deciding engine's short name.
-    pub engine_name: &'static str,
     /// The counterexample when the verdict is [`Verdict::Fails`].
     pub counterexample: Option<CounterExample>,
-    /// Stats of the deciding attempt, as originally measured.
-    pub stats: EngineStats,
-    /// The original attempt log (ladder order).
+    /// The original attempt log (ladder order); the last attempt decided
+    /// the case and carries its engine, verdict and stats.
     pub attempts: Vec<CaseAttempt>,
     /// Original total wall time across attempts — what the replay saved.
     pub duration: Duration,
+}
+
+impl CachedCase {
+    /// The verdict of the deciding (last) attempt ([`Verdict::Error`] for
+    /// an empty log, which the cache never stores).
+    pub fn verdict(&self) -> Verdict {
+        self.attempts.last().map_or(Verdict::Error, |a| a.verdict)
+    }
 }
 
 /// Point-in-time cache activity counters (see [`ProofCache::stats`]).
@@ -287,7 +291,7 @@ impl ProofCache {
     /// [`ProofCache::flush`].
     pub fn store(&self, fp: &Fingerprint, entry: CachedCase) {
         if self.mode != CacheMode::ReadWrite
-            || !matches!(entry.verdict, Verdict::Holds | Verdict::Fails)
+            || !matches!(entry.verdict(), Verdict::Holds | Verdict::Fails)
         {
             return;
         }
@@ -351,34 +355,10 @@ fn intern_engine_name(name: &str) -> &'static str {
     }
 }
 
-fn duration_json(d: Duration) -> JsonValue {
-    JsonValue::Number(d.as_secs_f64())
-}
-
 fn parse_duration(v: Option<&JsonValue>) -> Option<Duration> {
     v.and_then(|v| v.as_f64())
         .filter(|s| *s >= 0.0 && s.is_finite())
         .map(Duration::from_secs_f64)
-}
-
-fn stats_to_json(stats: &EngineStats) -> JsonValue {
-    JsonValue::object(vec![
-        (
-            "peak_bdd_nodes",
-            JsonValue::opt(stats.peak_bdd_nodes, JsonValue::int),
-        ),
-        (
-            "care_nodes",
-            JsonValue::opt(stats.care_nodes, JsonValue::int),
-        ),
-        (
-            "sat_conflicts",
-            JsonValue::opt(stats.sat_conflicts, JsonValue::int),
-        ),
-        ("coi_ands", JsonValue::opt(stats.coi_ands, JsonValue::int)),
-        ("wall_seconds", duration_json(stats.wall)),
-        ("counters", stats.metrics.to_json()),
-    ])
 }
 
 fn stats_from_json(v: &JsonValue) -> EngineStats {
@@ -396,6 +376,8 @@ fn stats_from_json(v: &JsonValue) -> EngineStats {
     }
 }
 
+/// The results-JSON counterexample plus the full input `assignment`,
+/// which replay needs and results JSON omits.
 fn cex_to_json(cex: &CounterExample) -> JsonValue {
     let mut assignment: Vec<(String, JsonValue)> = cex
         .assignment
@@ -403,15 +385,11 @@ fn cex_to_json(cex: &CounterExample) -> JsonValue {
         .map(|(k, v)| (k.clone(), JsonValue::Bool(*v)))
         .collect();
     assignment.sort_by(|a, b| a.0.cmp(&b.0));
-    JsonValue::object(vec![
-        ("a", JsonValue::string(format!("{:#x}", cex.a))),
-        ("b", JsonValue::string(format!("{:#x}", cex.b))),
-        ("c", JsonValue::string(format!("{:#x}", cex.c))),
-        ("op", JsonValue::int(cex.op)),
-        ("rm", JsonValue::int(cex.rm)),
-        ("replay_confirmed", JsonValue::Bool(cex.replay_confirmed)),
-        ("assignment", JsonValue::Object(assignment)),
-    ])
+    let mut v = cex.to_json();
+    if let JsonValue::Object(fields) = &mut v {
+        fields.push(("assignment".to_string(), JsonValue::Object(assignment)));
+    }
+    v
 }
 
 fn cex_from_json(v: &JsonValue) -> Option<CounterExample> {
@@ -434,23 +412,6 @@ fn cex_from_json(v: &JsonValue) -> Option<CounterExample> {
         rm: v.get("rm")?.as_u64()? as u32,
         replay_confirmed: v.get("replay_confirmed")?.as_bool()?,
     })
-}
-
-fn attempt_to_json(attempt: &CaseAttempt) -> JsonValue {
-    JsonValue::object(vec![
-        ("engine", attempt.engine.to_json()),
-        ("engine_name", JsonValue::string(attempt.engine_name)),
-        (
-            "node_limit",
-            JsonValue::opt(attempt.budget.node_limit, JsonValue::int),
-        ),
-        (
-            "conflict_limit",
-            JsonValue::opt(attempt.budget.conflict_limit, JsonValue::int),
-        ),
-        ("verdict", attempt.verdict.to_json()),
-        ("stats", stats_to_json(&attempt.stats)),
-    ])
 }
 
 fn attempt_from_json(v: &JsonValue) -> Option<CaseAttempt> {
@@ -477,18 +438,11 @@ fn render_entry(fp: &str, entry: &CachedCase) -> String {
     let mut line = JsonValue::object(vec![
         ("v", JsonValue::int(CACHE_SCHEMA_VERSION)),
         ("fp", JsonValue::string(fp)),
-        ("verdict", entry.verdict.to_json()),
-        ("engine", entry.engine.to_json()),
-        ("engine_name", JsonValue::string(entry.engine_name)),
         (
             "counterexample",
             JsonValue::opt(entry.counterexample.as_ref(), cex_to_json),
         ),
-        ("stats", stats_to_json(&entry.stats)),
-        (
-            "attempts",
-            JsonValue::Array(entry.attempts.iter().map(attempt_to_json).collect()),
-        ),
+        ("attempts", entry.attempts.to_json()),
         ("duration_seconds", duration_json(entry.duration)),
     ])
     .render();
@@ -507,33 +461,27 @@ fn parse_entry(line: &str) -> Option<(String, CachedCase)> {
     if fp.len() != 64 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
-    // Only definite verdicts are memoized.
-    let verdict = Verdict::from_label(v.get("verdict")?.as_str()?)
-        .filter(|v| matches!(v, Verdict::Holds | Verdict::Fails))?;
+    let attempts = v
+        .get("attempts")?
+        .as_array()?
+        .iter()
+        .map(attempt_from_json)
+        .collect::<Option<Vec<_>>>()?;
     let counterexample = match v.get("counterexample") {
         None | Some(JsonValue::Null) => None,
         Some(c) => Some(cex_from_json(c)?),
     };
-    // A failure entry without its counterexample is useless for replay.
-    if verdict == Verdict::Fails && counterexample.is_none() {
-        return None;
+    // Only definite verdicts are memoized, and a failure entry without its
+    // counterexample is useless for replay.
+    match attempts.last()?.verdict {
+        Verdict::Holds => {}
+        Verdict::Fails if counterexample.is_some() => {}
+        _ => return None,
     }
-    let attempts = match v.get("attempts") {
-        Some(a) => a
-            .as_array()?
-            .iter()
-            .map(attempt_from_json)
-            .collect::<Option<Vec<_>>>()?,
-        None => Vec::new(),
-    };
     Some((
         fp.to_string(),
         CachedCase {
-            verdict,
-            engine: EngineKind::from_label(v.get("engine")?.as_str()?)?,
-            engine_name: intern_engine_name(v.get("engine_name")?.as_str()?),
             counterexample,
-            stats: v.get("stats").map(stats_from_json).unwrap_or_default(),
             attempts,
             duration: parse_duration(v.get("duration_seconds")).unwrap_or(Duration::ZERO),
         },
@@ -546,17 +494,19 @@ mod tests {
 
     fn holds_entry(wall_ms: u64) -> CachedCase {
         CachedCase {
-            verdict: Verdict::Holds,
-            engine: EngineKind::Sat,
-            engine_name: "sat/sweep",
             counterexample: None,
-            stats: EngineStats {
-                sat_conflicts: Some(42),
-                coi_ands: Some(900),
-                wall: Duration::from_millis(wall_ms),
-                ..EngineStats::default()
-            },
-            attempts: Vec::new(),
+            attempts: vec![CaseAttempt {
+                engine: EngineKind::Sat,
+                engine_name: "sat/sweep",
+                budget: EngineBudget::UNLIMITED,
+                verdict: Verdict::Holds,
+                stats: EngineStats {
+                    sat_conflicts: Some(42),
+                    coi_ands: Some(900),
+                    wall: Duration::from_millis(wall_ms),
+                    ..EngineStats::default()
+                },
+            }],
             duration: Duration::from_millis(wall_ms),
         }
     }
@@ -578,9 +528,6 @@ mod tests {
         assignment.insert("a[0]".to_string(), true);
         assignment.insert("b[1]".to_string(), false);
         let entry = CachedCase {
-            verdict: Verdict::Fails,
-            engine: EngineKind::Bdd,
-            engine_name: "bdd/constrain",
             counterexample: Some(CounterExample {
                 assignment,
                 a: 0x1f,
@@ -590,12 +537,6 @@ mod tests {
                 rm: 1,
                 replay_confirmed: true,
             }),
-            stats: EngineStats {
-                peak_bdd_nodes: Some(1234),
-                care_nodes: Some(56),
-                wall: Duration::from_millis(250),
-                ..EngineStats::default()
-            },
             attempts: vec![CaseAttempt {
                 engine: EngineKind::Bdd,
                 engine_name: "bdd/constrain",
@@ -604,7 +545,12 @@ mod tests {
                     conflict_limit: None,
                 },
                 verdict: Verdict::Fails,
-                stats: EngineStats::default(),
+                stats: EngineStats {
+                    peak_bdd_nodes: Some(1234),
+                    care_nodes: Some(56),
+                    wall: Duration::from_millis(250),
+                    ..EngineStats::default()
+                },
             }],
             duration: Duration::from_millis(260),
         };
@@ -612,36 +558,70 @@ mod tests {
         let line = render_entry(&fp, &entry);
         let (fp2, parsed) = parse_entry(line.trim_end()).expect("parses");
         assert_eq!(fp2, fp);
-        assert_eq!(parsed.verdict, Verdict::Fails);
-        assert_eq!(parsed.engine, EngineKind::Bdd);
-        assert_eq!(parsed.engine_name, "bdd/constrain");
+        assert_eq!(parsed.verdict(), Verdict::Fails);
+        assert_eq!(parsed.duration, Duration::from_millis(260));
         let cex = parsed.counterexample.expect("cex");
         assert_eq!(cex.a, 0x1f);
         assert_eq!(cex.assignment.get("a[0]"), Some(&true));
         assert!(cex.replay_confirmed);
-        assert_eq!(parsed.stats.peak_bdd_nodes, Some(1234));
         assert_eq!(parsed.attempts.len(), 1);
-        assert_eq!(parsed.attempts[0].budget.node_limit, Some(10_000));
-        assert_eq!(parsed.duration, Duration::from_millis(260));
+        let attempt = &parsed.attempts[0];
+        assert_eq!(attempt.engine, EngineKind::Bdd);
+        assert_eq!(attempt.engine_name, "bdd/constrain");
+        assert_eq!(attempt.budget.node_limit, Some(10_000));
+        assert_eq!(attempt.stats.peak_bdd_nodes, Some(1234));
+        assert_eq!(attempt.stats.care_nodes, Some(56));
+    }
+
+    /// A schema-2 line whose single attempt has `verdict`.
+    fn line_with_verdict(verdict: &str) -> String {
+        format!(
+            r#"{{"v":2,"fp":"{}","counterexample":null,"attempts":[{{"engine":"sat","engine_name":"sat","verdict":"{verdict}"}}]}}"#,
+            "0".repeat(64)
+        )
     }
 
     #[test]
     fn malformed_lines_are_skipped() {
+        assert!(parse_entry(&line_with_verdict("holds")).is_some());
         for bad in [
             "",
             "not json",
             "{}",
             r#"{"v":99,"fp":"00"}"#,
             // Fails without a counterexample is not replayable.
-            &format!(
-                r#"{{"v":1,"fp":"{}","verdict":"fails","engine":"sat","engine_name":"sat"}}"#,
-                "0".repeat(64)
-            ),
+            &line_with_verdict("fails"),
+            // Only a definite last attempt is memoized.
+            &line_with_verdict("budget-exceeded"),
+            &line_with_verdict("error"),
+            // No attempt log, no verdict.
+            &format!(r#"{{"v":2,"fp":"{}","attempts":[]}}"#, "0".repeat(64)),
             // Bad fingerprint shape.
-            r#"{"v":1,"fp":"xyz","verdict":"holds","engine":"sat","engine_name":"sat"}"#,
+            &line_with_verdict("holds").replace(&"0".repeat(64), "xyz"),
         ] {
             assert!(parse_entry(bad).is_none(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn schema_1_lines_are_skipped_on_load() {
+        // A well-formed line as the previous format wrote it: the verdict,
+        // engine and stats at entry level, copied from the last attempt.
+        let line = format!(
+            r#"{{"v":1,"fp":"{}","verdict":"holds","engine":"sat","engine_name":"sat","counterexample":null,"stats":{{"sat_conflicts":3}},"attempts":[{{"engine":"sat","engine_name":"sat","node_limit":null,"conflict_limit":null,"verdict":"holds","stats":{{"sat_conflicts":3}}}}],"duration_seconds":0.01}}"#,
+            "0".repeat(64)
+        );
+        let dir = std::env::temp_dir().join(format!(
+            "fmaverify-cache-v1-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        std::fs::write(dir.join("00.jsonl"), format!("{line}\n")).expect("shard");
+        let cache = ProofCache::open(&dir, CacheMode::ReadOnly);
+        assert!(cache.is_empty(), "a schema-1 entry must be re-proved");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -679,8 +659,8 @@ mod tests {
         let reloaded = ProofCache::open(&dir, CacheMode::ReadOnly);
         assert_eq!(reloaded.len(), 1);
         let entry = reloaded.lookup(&fp).expect("hit after reload");
-        assert_eq!(entry.verdict, Verdict::Holds);
-        assert_eq!(entry.stats.sat_conflicts, Some(42));
+        assert_eq!(entry.verdict(), Verdict::Holds);
+        assert_eq!(entry.attempts[0].stats.sat_conflicts, Some(42));
 
         // Truncating the shard mid-line loses entries but never panics.
         let shard = dir.join(format!("{}.jsonl", fp.shard()));

@@ -451,7 +451,7 @@ pub trait ToJson {
     fn to_json(&self) -> JsonValue;
 }
 
-fn duration_json(d: Duration) -> JsonValue {
+pub(crate) fn duration_json(d: Duration) -> JsonValue {
     JsonValue::Number(d.as_secs_f64())
 }
 
@@ -530,7 +530,7 @@ impl ToJson for CaseResult {
                 JsonValue::string(format!("{:?}", self.case.class())),
             ),
             ("op", JsonValue::string(format!("{:?}", self.op))),
-            ("engine", self.engine.to_json()),
+            ("engine", JsonValue::opt(self.engine(), |e| e.to_json())),
             ("verdict", self.verdict.to_json()),
             (
                 "counterexample",
@@ -540,11 +540,8 @@ impl ToJson for CaseResult {
                 "error",
                 JsonValue::opt(self.error.as_ref(), |e| JsonValue::string(e.to_string())),
             ),
-            ("stats", self.stats.to_json()),
-            (
-                "attempts",
-                JsonValue::Array(self.attempts.iter().map(|a| a.to_json()).collect()),
-            ),
+            ("stats", JsonValue::opt(self.stats(), |s| s.to_json())),
+            ("attempts", self.attempts.to_json()),
             ("escalations", JsonValue::int(self.escalations() as u64)),
             ("queue_latency_seconds", duration_json(self.queue_latency)),
             ("stolen", JsonValue::Bool(self.stolen)),
@@ -686,23 +683,27 @@ mod tests {
 
     #[test]
     fn case_result_round_trips_key_fields() {
-        use crate::engine::EngineStats;
+        use crate::engine::{EngineBudget, EngineStats};
         use crate::runner::Verdict;
         use fmaverify_fpu::FpuOp;
 
-        let r = CaseResult {
+        let mut r = CaseResult {
             case: crate::cases::CaseId::FarOut,
             op: FpuOp::Fma,
-            engine: EngineKind::Sat,
             verdict: Verdict::Holds,
             counterexample: None,
             error: None,
-            stats: EngineStats {
-                sat_conflicts: Some(12),
-                coi_ands: Some(900),
-                ..EngineStats::default()
-            },
-            attempts: Vec::new(),
+            attempts: vec![CaseAttempt {
+                engine: EngineKind::Sat,
+                engine_name: "sat",
+                budget: EngineBudget::UNLIMITED,
+                verdict: Verdict::Holds,
+                stats: EngineStats {
+                    sat_conflicts: Some(12),
+                    coi_ands: Some(900),
+                    ..EngineStats::default()
+                },
+            }],
             queue_latency: Duration::ZERO,
             stolen: false,
             cached: false,
@@ -728,6 +729,13 @@ mod tests {
             Some(12)
         );
         assert_eq!(parsed.get("stolen").and_then(|v| v.as_bool()), Some(false));
+
+        // A canceled case ran no attempt: no engine, no stats.
+        r.verdict = Verdict::Canceled;
+        r.attempts.clear();
+        let parsed = JsonValue::parse(&r.to_json().render()).unwrap();
+        assert_eq!(parsed.get("engine"), Some(&JsonValue::Null));
+        assert_eq!(parsed.get("stats"), Some(&JsonValue::Null));
     }
 
     #[test]

@@ -55,10 +55,7 @@ pub fn table1_rows(reports: &[InstructionReport]) -> Vec<TableRow> {
 }
 
 fn aggregate_row(op: FpuOp, class: CaseClass, results: &[&CaseResult]) -> TableRow {
-    let bdd: Vec<usize> = results
-        .iter()
-        .filter_map(|r| r.stats.peak_bdd_nodes)
-        .collect();
+    let bdd: Vec<usize> = results.iter().filter_map(|r| r.bdd_peak_nodes()).collect();
     let (nodes_avg, nodes_max) = if bdd.is_empty() {
         (None, None)
     } else {
@@ -138,12 +135,16 @@ pub fn render_table1(rows: &[TableRow]) -> String {
 /// Renders a one-line summary of an instruction report (accumulated time,
 /// engine split, escalations, pass/fail).
 pub fn summarize(report: &InstructionReport) -> String {
-    let bdd = report
-        .results
-        .iter()
-        .filter(|r| matches!(r.engine, EngineKind::Bdd | EngineKind::BddSequential))
-        .count();
-    let sat = report.results.len() - bdd;
+    // A canceled case ran no engine and counts as neither.
+    let count = |kinds: &[EngineKind]| {
+        report
+            .results
+            .iter()
+            .filter(|r| r.engine().is_some_and(|k| kinds.contains(&k)))
+            .count()
+    };
+    let bdd = count(&[EngineKind::Bdd, EngineKind::BddSequential]);
+    let sat = count(&[EngineKind::Sat]);
     let escalated = report.escalated_cases();
     let escalation_note = if escalated > 0 {
         format!(", {escalated} escalated")
@@ -180,25 +181,29 @@ mod tests {
     use crate::cases::CaseId;
 
     fn fake_result(case: CaseId, nodes: Option<usize>, ms: u64) -> CaseResult {
-        use crate::engine::EngineStats;
-        use crate::runner::Verdict;
+        use crate::engine::{EngineBudget, EngineStats};
+        use crate::runner::{CaseAttempt, Verdict};
+        let (engine, engine_name) = match nodes {
+            Some(_) => (EngineKind::Bdd, "bdd/constrain"),
+            None => (EngineKind::Sat, "sat"),
+        };
         CaseResult {
             case,
             op: FpuOp::Fma,
-            engine: if nodes.is_some() {
-                EngineKind::Bdd
-            } else {
-                EngineKind::Sat
-            },
             verdict: Verdict::Holds,
             counterexample: None,
             error: None,
-            stats: EngineStats {
-                peak_bdd_nodes: nodes,
-                sat_conflicts: nodes.is_none().then_some(10),
-                ..EngineStats::default()
-            },
-            attempts: Vec::new(),
+            attempts: vec![CaseAttempt {
+                engine,
+                engine_name,
+                budget: EngineBudget::UNLIMITED,
+                verdict: Verdict::Holds,
+                stats: EngineStats {
+                    peak_bdd_nodes: nodes,
+                    sat_conflicts: nodes.is_none().then_some(10),
+                    ..EngineStats::default()
+                },
+            }],
             queue_latency: Duration::ZERO,
             stolen: false,
             cached: false,

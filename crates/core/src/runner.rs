@@ -123,18 +123,16 @@ pub struct CaseResult {
     pub case: CaseId,
     /// The instruction.
     pub op: FpuOp,
-    /// The engine whose attempt decided the case (the last attempt's engine
-    /// when nothing decided it).
-    pub engine: EngineKind,
-    /// The final verdict.
+    /// The final verdict: the last attempt's, or [`Verdict::Canceled`]
+    /// when no attempt ran.
     pub verdict: Verdict,
     /// Counterexample when the verdict is [`Verdict::Fails`].
     pub counterexample: Option<CounterExample>,
     /// Typed engine error when the verdict is [`Verdict::Error`].
     pub error: Option<Error>,
-    /// Stats of the deciding attempt.
-    pub stats: EngineStats,
     /// Every attempt in ladder order (length > 1 iff the case escalated).
+    /// The last one decided the case, or ran out the ladder; a canceled
+    /// case has none.
     pub attempts: Vec<CaseAttempt>,
     /// Time the case spent queued before a worker picked it up (zero for
     /// single-case runs).
@@ -142,8 +140,8 @@ pub struct CaseResult {
     /// True if a worker stole this case from a neighbour's queue.
     pub stolen: bool,
     /// True when the verdict was replayed from the proof cache instead of
-    /// running any engine this run (`stats`/`attempts` then describe the
-    /// original proving run, while `duration` is the replay time).
+    /// running any engine this run (`attempts` then describe the original
+    /// proving run, while `duration` is the replay time).
     pub cached: bool,
     /// Total wall-clock time across all attempts.
     pub duration: Duration,
@@ -160,14 +158,24 @@ impl CaseResult {
         self.attempts.len().saturating_sub(1)
     }
 
+    /// The engine of the deciding (last) attempt; `None` when canceled.
+    pub fn engine(&self) -> Option<EngineKind> {
+        self.attempts.last().map(|a| a.engine)
+    }
+
+    /// Stats of the deciding (last) attempt; `None` when canceled.
+    pub fn stats(&self) -> Option<&EngineStats> {
+        self.attempts.last().map(|a| &a.stats)
+    }
+
     /// Peak BDD nodes of the deciding attempt, when it was a BDD engine.
     pub fn bdd_peak_nodes(&self) -> Option<usize> {
-        self.stats.peak_bdd_nodes
+        self.stats()?.peak_bdd_nodes
     }
 
     /// SAT conflicts of the deciding attempt, when it was the SAT engine.
     pub fn sat_conflicts(&self) -> Option<u64> {
-        self.stats.sat_conflicts
+        self.stats()?.sat_conflicts
     }
 }
 
@@ -399,7 +407,7 @@ pub(crate) fn schedule_cases(
                     let queue_latency = pool_start.elapsed();
                     let (case, constraint) = &constraints[idx];
                     let result = if cancel.is_canceled() {
-                        canceled_result(op, *case, policy)
+                        canceled_result(op, *case)
                     } else {
                         let r = run_case_traced(
                             harness,
@@ -474,19 +482,13 @@ fn next_job(
     None
 }
 
-fn canceled_result(op: FpuOp, case: CaseId, policy: &SchedulePolicy) -> CaseResult {
-    let ladder = policy.ladder(op, case);
+fn canceled_result(op: FpuOp, case: CaseId) -> CaseResult {
     CaseResult {
         case,
         op,
-        engine: ladder
-            .first()
-            .map(|s| s.engine.kind())
-            .unwrap_or(EngineKind::Bdd),
         verdict: Verdict::Canceled,
         counterexample: None,
         error: None,
-        stats: EngineStats::default(),
         attempts: Vec::new(),
         queue_latency: Duration::ZERO,
         stolen: false,
@@ -575,11 +577,9 @@ pub(crate) fn run_case_traced(
         let result = CaseResult {
             case,
             op,
-            engine: hit.engine,
-            verdict: hit.verdict,
+            verdict: hit.verdict(),
             counterexample: hit.counterexample,
             error: None,
-            stats: hit.stats,
             attempts: hit.attempts,
             queue_latency: ctx.queue_latency,
             stolen: ctx.stolen,
@@ -589,17 +589,19 @@ pub(crate) fn run_case_traced(
         if case_span.is_recording() {
             case_span.record(Counter::CacheHits, 1);
             case_span.field("verdict", result.verdict.to_json());
-            case_span.field("engine", JsonValue::string(hit.engine_name));
+            if let Some(last) = result.attempts.last() {
+                case_span.field("engine", JsonValue::string(last.engine_name));
+            }
             case_span.field("cached", JsonValue::Bool(true));
         }
         return result;
     }
 
     let mut attempts: Vec<CaseAttempt> = Vec::with_capacity(1);
+    let mut counterexample: Option<CounterExample> = None;
     let mut last_error: Option<Error> = None;
-    let mut decided: Option<(usize, Verdict, Option<CounterExample>, EngineStats)> = None;
 
-    for (rung, stage) in ladder.iter().enumerate() {
+    for stage in ladder {
         let mut stage_span = case_span.child(SpanKind::Stage, || stage.engine.name().to_string());
         let attempt_start = Instant::now();
         // A panicking engine must not take down the scheduler: fold the
@@ -633,20 +635,14 @@ pub(crate) fn run_case_traced(
             engine_name: stage.engine.name(),
             budget: stage.budget,
             verdict: attempt_verdict,
-            stats: outcome.stats.clone(),
+            stats: outcome.stats,
         });
 
         match outcome.verdict {
-            EngineVerdict::Holds => {
-                decided = Some((rung, Verdict::Holds, None, outcome.stats));
-                break;
-            }
+            EngineVerdict::Holds => break,
             EngineVerdict::Counterexample(assignment) => {
-                let cex = {
-                    let _span = case_span.child(SpanKind::Op, || "replay".into());
-                    decode_cex(harness, assignment)
-                };
-                decided = Some((rung, Verdict::Fails, Some(cex), outcome.stats));
+                let _span = case_span.child(SpanKind::Op, || "replay".into());
+                counterexample = Some(decode_cex(harness, assignment));
                 break;
             }
             EngineVerdict::BudgetExceeded => continue,
@@ -657,29 +653,16 @@ pub(crate) fn run_case_traced(
         }
     }
 
-    let (engine, verdict, counterexample, error, stats) = match decided {
-        Some((rung, verdict, cex, stats)) => {
-            (ladder[rung].engine.kind(), verdict, cex, None, stats)
-        }
-        None => {
-            // The whole ladder ran out without a definite verdict.
-            let last = attempts.last().expect("at least one attempt");
-            let verdict = if last.verdict == Verdict::Error {
-                Verdict::Error
-            } else {
-                Verdict::BudgetExceeded
-            };
-            (last.engine, verdict, None, last_error, last.stats.clone())
-        }
-    };
+    // The last attempt either decided the case or ran out the ladder; only
+    // an undecided case reports the last engine error.
+    let verdict = attempts.last().expect("at least one attempt").verdict;
+    let decided = matches!(verdict, Verdict::Holds | Verdict::Fails);
     let result = CaseResult {
         case,
         op,
-        engine,
         verdict,
         counterexample,
-        error,
-        stats,
+        error: if decided { None } else { last_error },
         attempts,
         queue_latency: ctx.queue_latency,
         stolen: ctx.stolen,
@@ -690,19 +673,11 @@ pub(crate) fn run_case_traced(
     // Memoize fresh definite verdicts (no-op unless the cache is
     // read-write). Indefinite outcomes say nothing reusable about the case.
     if let (Some(cache), Some(fp)) = (ctx.cache, &fingerprint) {
-        if matches!(result.verdict, Verdict::Holds | Verdict::Fails) {
+        if decided {
             cache.store(
                 fp,
                 CachedCase {
-                    verdict: result.verdict,
-                    engine: result.engine,
-                    engine_name: result
-                        .attempts
-                        .last()
-                        .map(|a| a.engine_name)
-                        .unwrap_or("cached"),
                     counterexample: result.counterexample.clone(),
-                    stats: result.stats.clone(),
                     attempts: result.attempts.clone(),
                     duration: result.duration,
                 },

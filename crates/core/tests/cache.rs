@@ -61,11 +61,22 @@ fn warm_run_replays_cold_verdicts_and_stats() {
         assert!(w.cached, "warm miss on {:?}", w.case);
         assert_eq!(c.case, w.case);
         assert_eq!(c.verdict, w.verdict);
-        assert_eq!(c.engine, w.engine);
-        // Replayed stats are the original proving run's measurements.
-        assert_eq!(c.stats.peak_bdd_nodes, w.stats.peak_bdd_nodes);
-        assert_eq!(c.stats.sat_conflicts, w.stats.sat_conflicts);
+        assert_eq!(c.engine(), w.engine());
+        // Replayed stats are the original proving run's measurements, and
+        // the replayed engine and stats are those of the last attempt.
+        assert_eq!(c.bdd_peak_nodes(), w.bdd_peak_nodes());
+        assert_eq!(c.sat_conflicts(), w.sat_conflicts());
         assert_eq!(c.attempts.len(), w.attempts.len());
+        let last = w.attempts.last().expect("replayed attempts");
+        assert_eq!(w.engine(), Some(last.engine));
+        assert_eq!(
+            w.stats().map(|s| s.to_json().render()),
+            Some(last.stats.to_json().render())
+        );
+        assert_eq!(
+            w.stats().map(|s| s.to_json().render()),
+            c.stats().map(|s| s.to_json().render())
+        );
         // The JSON rendering differs exactly in the flags that describe
         // this run (cached, timings), not in the verdict.
         assert_eq!(c.verdict.to_json().render(), w.verdict.to_json().render());

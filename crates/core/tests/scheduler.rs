@@ -52,11 +52,11 @@ fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
     );
     assert_eq!(by_bdd.verdict, by_sat.verdict, "engines disagree");
     assert_eq!(by_bdd.verdict, Verdict::Holds);
-    assert_eq!(by_bdd.engine, EngineKind::Bdd);
-    assert_eq!(by_sat.engine, EngineKind::Sat);
+    assert_eq!(by_bdd.engine(), Some(EngineKind::Bdd));
+    assert_eq!(by_sat.engine(), Some(EngineKind::Sat));
     // Both report stats in the unified shape, each filling its own fields.
-    assert!(by_bdd.stats.peak_bdd_nodes.unwrap_or(0) > 0);
-    assert!(by_sat.stats.coi_ands.unwrap_or(0) > 0);
+    assert!(by_bdd.bdd_peak_nodes().unwrap_or(0) > 0);
+    assert!(by_sat.stats().and_then(|s| s.coi_ands).unwrap_or(0) > 0);
 }
 
 #[test]
@@ -112,8 +112,21 @@ fn escalation_recovers_every_budget_exceeded_case_with_unchanged_verdicts() {
         .expect("at least one escalated case");
     assert_eq!(escalated.attempts[0].engine, EngineKind::Bdd);
     assert_eq!(escalated.attempts[0].verdict, Verdict::BudgetExceeded);
-    assert_eq!(escalated.engine, EngineKind::Sat);
-    assert_eq!(escalated.attempts.last().unwrap().verdict, Verdict::Holds);
+    // The deciding engine and its stats are those of the last attempt.
+    let last = escalated.attempts.last().unwrap();
+    assert_eq!(last.verdict, Verdict::Holds);
+    assert_eq!(escalated.engine(), Some(EngineKind::Sat));
+    assert_eq!(escalated.engine(), Some(last.engine));
+    assert!(escalated.sat_conflicts().is_some());
+    assert_eq!(escalated.sat_conflicts(), last.stats.sat_conflicts);
+    assert_eq!(
+        escalated.stats().map(|s| s.wall),
+        Some(last.stats.wall),
+        "the deciding stats are the SAT rung's"
+    );
+    // The blown BDD rung's peak is not the case's.
+    assert!(escalated.attempts[0].stats.peak_bdd_nodes.is_some());
+    assert_eq!(escalated.bdd_peak_nodes(), None);
 }
 
 #[test]
@@ -144,6 +157,11 @@ fn pre_canceled_token_skips_every_case() {
         .results
         .iter()
         .all(|r| r.verdict == Verdict::Canceled));
+    // No engine ran, so a canceled result has no engine and no stats.
+    assert!(report
+        .results
+        .iter()
+        .all(|r| r.attempts.is_empty() && r.engine().is_none() && r.stats().is_none()));
     assert!(!report.all_hold());
 }
 

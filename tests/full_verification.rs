@@ -33,9 +33,9 @@ fn all_instructions_verify_flush_to_zero() {
         for r in &report.results {
             match r.case {
                 fmaverify::CaseId::FarOut | fmaverify::CaseId::Monolithic => {
-                    assert_eq!(r.engine, EngineKind::Sat)
+                    assert_eq!(r.engine(), Some(EngineKind::Sat))
                 }
-                _ => assert_eq!(r.engine, EngineKind::Bdd),
+                _ => assert_eq!(r.engine(), Some(EngineKind::Bdd)),
             }
             // The default policy never needs to escalate on the clean design.
             assert_eq!(r.escalations(), 0);
@@ -70,7 +70,7 @@ fn fma_verifies_at_micro_format() {
     assert!(report
         .results
         .iter()
-        .any(|r| r.stats.peak_bdd_nodes.unwrap_or(0) > 0));
+        .any(|r| r.bdd_peak_nodes().unwrap_or(0) > 0));
 }
 
 #[test]
