@@ -522,18 +522,19 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         wall: start.elapsed(),
     };
 
-    let handle = run.tracer.handle();
-    handle.add(Counter::CampaignMutants, report.outcomes.len() as u64);
-    handle.add(Counter::CampaignKilled, report.killed() as u64);
-    handle.add(Counter::CampaignSurvived, report.survived() as u64);
-    handle.add(
+    span.record(Counter::CampaignMutants, report.outcomes.len() as u64);
+    span.record(Counter::CampaignKilled, report.killed() as u64);
+    span.record(Counter::CampaignSurvived, report.survived() as u64);
+    span.record(
         Counter::CampaignBudgetExceeded,
         report.budget_exceeded() as u64,
     );
-    handle.add(Counter::CampaignSkippedUnobserved, screened_out as u64);
-    span.record(Counter::CampaignMutants, report.outcomes.len() as u64);
-    span.record(Counter::CampaignKilled, report.killed() as u64);
+    span.record(Counter::CampaignSkippedUnobserved, screened_out as u64);
     span.field("op", JsonValue::string(format!("{op:?}")));
+    drop(span);
+    // The per-mutant totals predate the campaign span's counters.
+    run.tracer.emit_totals();
+    run.tracer.flush();
 
     report
 }

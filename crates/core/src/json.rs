@@ -11,10 +11,10 @@
 //! the way plain-library dependencies can. The [`ToJson`] trait plays the
 //! role of `Serialize` for the handful of report types that need it.
 //!
-//! PR 2 adds the other direction: [`JsonValue::parse`] is a recursive-descent
-//! reader used by `trace::summary` to fold JSONL telemetry streams back into
-//! tables, plus accessors (`get`/`as_str`/`as_u64`/…) for walking parsed
-//! documents. All machine-readable output carries [`SCHEMA_VERSION`]; the
+//! [`JsonValue::parse`] is the other direction: a recursive-descent reader
+//! that reads JSONL traces ([`crate::TraceEvent::from_json`]) and proof-cache
+//! shards back, plus accessors (`get`/`as_str`/`as_u64`/…) for walking
+//! parsed documents. All machine-readable output carries [`SCHEMA_VERSION`]; the
 //! schema is documented in `DESIGN.md`.
 
 use std::fmt::Write as _;

@@ -34,11 +34,10 @@
 //!   incremental verification;
 //! * [`runner`] / [`report`] — the work-stealing scheduler with per-case
 //!   budgets, [`runner::SchedulePolicy`] escalation ladders and
-//!   cancellation, plus Table-1-style aggregation;
-//! * [`trace`] — the telemetry layer: hierarchical spans, monotonic
-//!   counters aggregated across scheduler threads, JSONL event traces, and
-//!   the [`trace::summary`] fold that rebuilds per-case effort tables from
-//!   a trace;
+//!   cancellation, plus the one Table-1 fold ([`report::table1_rows`]);
+//! * [`trace`] — the telemetry layer: hierarchical spans that each carry
+//!   the counters of their own work, JSONL event traces, and run totals
+//!   folded from the spans;
 //! * [`error`] — the crate-wide [`Error`] type carried by failed cases;
 //! * [`json`] — machine-readable (JSON) result serialization, emitter and
 //!   parser;
@@ -60,11 +59,12 @@
 //! assert!(report.all_hold());
 //! ```
 //!
-//! The same run with telemetry captured in memory and folded into a
-//! per-case summary table:
+//! The same run with telemetry captured in memory: one `case` span per
+//! case, with the engine counters on its `stage` children:
 //!
 //! ```
 //! use fmaverify::prelude::*;
+//! use fmaverify::TraceEvent;
 //!
 //! let cfg = FpuConfig {
 //!     format: FpFormat::new(3, 2),
@@ -74,8 +74,12 @@
 //! let report = Session::new(&cfg)
 //!     .configure(RunConfig::default().tracer(tracer))
 //!     .run(FpuOp::Mul);
-//! let summary = fmaverify::trace::summary::summarize_jsonl(&sink.to_jsonl()).unwrap();
-//! assert_eq!(summary.cases.len(), report.results.len());
+//! let case_spans = sink
+//!     .events()
+//!     .iter()
+//!     .filter(|e| matches!(e, TraceEvent::SpanEnd { kind: SpanKind::Case, .. }))
+//!     .count();
+//! assert_eq!(case_spans, report.results.len());
 //! ```
 
 #![warn(missing_docs)]
@@ -143,7 +147,7 @@ pub use runner::{
 pub use semi_formal::{semi_formal_check, SemiFormalOutcome};
 pub use sequential::{unroll_harness, UnrolledHarness};
 pub use session::Session;
-pub use trace::{Counter, MetricSet, MetricsRegistry, Span, SpanKind, TraceEvent, Tracer};
+pub use trace::{Counter, MetricSet, Span, SpanKind, TraceEvent, Tracer};
 
 /// Everything a typical verification driver needs, in one import.
 ///

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use fmaverify_fpu::FpuOp;
 use fmaverify_netlist::{BitSim, Netlist, Signal};
 
-use crate::cache::{CacheStats, CachedCase, Fingerprint, ProofCache};
+use crate::cache::{CachedCase, Fingerprint, ProofCache};
 use crate::cases::{CaseClass, CaseId};
 use crate::config::RunConfig;
 use crate::engine::{
@@ -37,7 +37,7 @@ use crate::error::Error;
 use crate::harness::Harness;
 use crate::json::{JsonValue, ToJson};
 use crate::session::Session;
-use crate::trace::{Counter, SpanKind, Tracer};
+use crate::trace::{Counter, Span, SpanKind, Tracer};
 
 /// A counterexample decoded back to operand values.
 #[derive(Clone, Debug)]
@@ -327,30 +327,6 @@ impl InstructionReport {
     }
 }
 
-/// Folds the cache activity of the run that just finished (the delta since
-/// `before`) into the registry totals and persists any pending stores.
-pub(crate) fn finish_cache_accounting(
-    cache: Option<&ProofCache>,
-    before: Option<CacheStats>,
-    tracer: &Tracer,
-) {
-    let (Some(cache), Some(before)) = (cache, before) else {
-        return;
-    };
-    let after = cache.stats();
-    let handle = tracer.handle();
-    handle.add(Counter::CacheHits, after.hits.saturating_sub(before.hits));
-    handle.add(
-        Counter::CacheMisses,
-        after.misses.saturating_sub(before.misses),
-    );
-    handle.add(
-        Counter::CacheStores,
-        after.stores.saturating_sub(before.stores),
-    );
-    cache.flush();
-}
-
 /// The work-stealing pool.
 ///
 /// Each worker owns a deque seeded round-robin with case indices; an idle
@@ -359,10 +335,8 @@ pub(crate) fn finish_cache_accounting(
 /// Results are returned in `constraints` order regardless of completion
 /// order.
 ///
-/// Every worker registers a thread slot with the tracer's metrics registry
-/// and folds its cases' engine counters plus scheduler telemetry (steals,
-/// escalations, queue latency) into it; each case runs under a `case` span
-/// parented to `parent`.
+/// Each case runs under a `case` span parented to `parent`, which carries
+/// the case's scheduler telemetry (steals, escalations, queue latency).
 pub(crate) fn schedule_cases(
     harness: &Harness,
     op: FpuOp,
@@ -402,7 +376,6 @@ pub(crate) fn schedule_cases(
             let queues = &queues;
             let results = &results;
             scope.spawn(move || {
-                let metrics = tracer.handle();
                 while let Some((idx, stolen)) = next_job(w, queues) {
                     let queue_latency = pool_start.elapsed();
                     let (case, constraint) = &constraints[idx];
@@ -428,25 +401,6 @@ pub(crate) fn schedule_cases(
                         }
                         r
                     };
-                    if metrics.is_recording() {
-                        // A replayed result carries the *original* run's
-                        // attempt metrics; folding them here would claim
-                        // work this run never did.
-                        if !result.cached {
-                            for attempt in &result.attempts {
-                                metrics.add_set(&attempt.stats.metrics);
-                            }
-                        }
-                        metrics.add(Counter::SchedCasesCompleted, 1);
-                        metrics.add(Counter::SchedEscalations, result.escalations() as u64);
-                        metrics.add(
-                            Counter::SchedQueueLatencyMicros,
-                            queue_latency.as_micros() as u64,
-                        );
-                        if stolen {
-                            metrics.add(Counter::SchedSteals, 1);
-                        }
-                    }
                     *results[idx].lock().expect("result slot") = Some(result);
                 }
             });
@@ -586,14 +540,7 @@ pub(crate) fn run_case_traced(
             cached: true,
             duration: start.elapsed(),
         };
-        if case_span.is_recording() {
-            case_span.record(Counter::CacheHits, 1);
-            case_span.field("verdict", result.verdict.to_json());
-            if let Some(last) = result.attempts.last() {
-                case_span.field("engine", JsonValue::string(last.engine_name));
-            }
-            case_span.field("cached", JsonValue::Bool(true));
-        }
+        annotate_case_span(&mut case_span, &result);
         return result;
     }
 
@@ -685,28 +632,39 @@ pub(crate) fn run_case_traced(
         }
     }
 
-    if case_span.is_recording() {
-        for attempt in &result.attempts {
-            case_span.record_set(&attempt.stats.metrics);
-        }
-        case_span.record(Counter::SchedEscalations, result.escalations() as u64);
-        case_span.record(
-            Counter::SchedQueueLatencyMicros,
-            ctx.queue_latency.as_micros() as u64,
-        );
-        if ctx.stolen {
-            case_span.record(Counter::SchedSteals, 1);
-        }
-        case_span.field("verdict", result.verdict.to_json());
-        if let Some(last) = result.attempts.last() {
-            case_span.field("engine", JsonValue::string(last.engine_name));
-        }
-        case_span.field("attempts", JsonValue::int(result.attempts.len() as u64));
-        if let Some(error) = &result.error {
-            case_span.field("error", JsonValue::string(error.to_string()));
-        }
-    }
+    annotate_case_span(&mut case_span, &result);
     result
+}
+
+/// Records a case's scheduler facts and outcome on its `case` span. Engine
+/// counters live on the `stage` spans only; a replayed result ran no stage
+/// this run, so its original escalations are not claimed either.
+fn annotate_case_span(span: &mut Span, result: &CaseResult) {
+    if !span.is_recording() {
+        return;
+    }
+    if !result.cached {
+        span.record(Counter::SchedEscalations, result.escalations() as u64);
+    }
+    span.record(
+        Counter::SchedQueueLatencyMicros,
+        result.queue_latency.as_micros() as u64,
+    );
+    if result.stolen {
+        span.record(Counter::SchedSteals, 1);
+    }
+    span.field("verdict", result.verdict.to_json());
+    if let Some(last) = result.attempts.last() {
+        span.field("engine", JsonValue::string(last.engine_name));
+    }
+    if result.cached {
+        span.field("cached", JsonValue::Bool(true));
+    } else {
+        span.field("attempts", JsonValue::int(result.attempts.len() as u64));
+    }
+    if let Some(error) = &result.error {
+        span.field("error", JsonValue::string(error.to_string()));
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

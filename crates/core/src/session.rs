@@ -42,16 +42,16 @@ use std::time::Instant;
 use fmaverify_fpu::{FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
 
-use crate::cache::ProofCache;
+use crate::cache::{CacheStats, ProofCache};
 use crate::cases::{enumerate_cases, CaseId};
 use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness};
 use crate::json::JsonValue;
 use crate::runner::{
-    finish_cache_accounting, run_case_traced, schedule_cases, CancellationToken, CaseCtx,
-    CaseResult, InstructionReport, SchedulePolicy,
+    run_case_traced, schedule_cases, CancellationToken, CaseCtx, CaseResult, InstructionReport,
+    SchedulePolicy,
 };
-use crate::trace::SpanKind;
+use crate::trace::{Counter, Span, SpanKind};
 
 /// A configured verification session: FPU configuration, run
 /// configuration, cancellation token, proof cache, and an optional
@@ -143,8 +143,7 @@ impl Session {
     /// first; the per-case checks then run in parallel over the read-only
     /// netlist. When a tracer is configured, the whole run is bracketed by a
     /// `run` span with `op` children for harness construction and
-    /// constraint generation, and a registry-totals event is emitted at the
-    /// end.
+    /// constraint generation, and a totals event is emitted at the end.
     pub fn run(&self, op: FpuOp) -> InstructionReport {
         let start = Instant::now();
         let tracer = &self.config.tracer;
@@ -181,10 +180,7 @@ impl Session {
             "cached",
             JsonValue::int(results.iter().filter(|r| r.cached).count() as u64),
         );
-        drop(run_span);
-        finish_cache_accounting(self.cache.as_deref(), cache_before, tracer);
-        tracer.emit_totals();
-        tracer.flush();
+        self.finish_run(run_span, &results, cache_before);
         InstructionReport {
             op,
             results,
@@ -221,11 +217,39 @@ impl Session {
             run_span.parent_id(),
         );
         run_span.field("cases", JsonValue::int(results.len() as u64));
-        drop(run_span);
-        finish_cache_accounting(self.cache.as_deref(), cache_before, tracer);
-        tracer.emit_totals();
-        tracer.flush();
+        self.finish_run(run_span, &results, cache_before);
         results
+    }
+
+    /// The end of every scheduled run: records the run's completed cases
+    /// and its proof-cache activity (the delta since `cache_before`) on the
+    /// run span, closes it, persists pending cache stores, and emits the
+    /// totals.
+    fn finish_run(
+        &self,
+        mut run_span: Span,
+        results: &[CaseResult],
+        cache_before: Option<CacheStats>,
+    ) {
+        run_span.record(Counter::SchedCasesCompleted, results.len() as u64);
+        if let (Some(cache), Some(before)) = (&self.cache, cache_before) {
+            let after = cache.stats();
+            run_span.record(Counter::CacheHits, after.hits.saturating_sub(before.hits));
+            run_span.record(
+                Counter::CacheMisses,
+                after.misses.saturating_sub(before.misses),
+            );
+            run_span.record(
+                Counter::CacheStores,
+                after.stores.saturating_sub(before.stores),
+            );
+        }
+        drop(run_span);
+        if let Some(cache) = &self.cache {
+            cache.flush();
+        }
+        self.config.tracer.emit_totals();
+        self.config.tracer.flush();
     }
 
     /// Runs one case down its escalation ladder on the calling thread.

@@ -3,23 +3,24 @@
 //! The paper's Table 1 is a story of measured engine effort — per-case BDD
 //! node counts, SAT conflicts, and runtimes across 585 cases. This module is
 //! the measurement substrate: a [`Tracer`] hands out hierarchical spans
-//! (run → case → engine-stage → operation) and per-thread counter slots, and
-//! streams everything as JSONL events through a pluggable [`TraceSink`].
-//! [`summary`] folds a JSONL stream back into per-case and per-engine tables.
+//! (run → case → engine-stage → operation), each carrying the counters of
+//! its own work, and streams everything as JSONL events through a pluggable
+//! [`TraceSink`]. Every counter is recorded on exactly one span; the
+//! [`TraceEvent::Totals`] event is the fold of all closed spans.
+//! [`crate::report`] is the Table-1 fold over the results themselves.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Disabled collection is near-zero cost.** [`Tracer::disabled`] is an
-//!    `Option::None` wrapper: creating a span is a null check, counter adds
-//!    are a branch on a `None` slot, and span names are built lazily
-//!    (closures) so the `format!` never runs. The engines themselves stay
-//!    tracer-free — they count locally into their existing stats structs
-//!    (`BddStats`, `SolverStats`, `SweepResult`) and the scheduler folds
-//!    those into the registry after each attempt.
-//! 2. **No cross-thread contention on the hot path.** The
-//!    [`MetricsRegistry`] gives each scheduler worker its own slot of
-//!    atomic counters (registered once per thread, written with relaxed
-//!    ordering by that thread only); totals are a cold-path sum.
+//!    `Option::None` wrapper: creating a span is a null check, recording on
+//!    it is a branch, and span names are built lazily (closures) so the
+//!    `format!` never runs. The engines themselves stay tracer-free — they
+//!    count locally into their existing stats structs (`BddStats`,
+//!    `SolverStats`, `SweepResult`) and the scheduler records those on the
+//!    attempt's `stage` span.
+//! 2. **No contention on the hot path.** A span accumulates its counters
+//!    privately; closing it takes the totals lock once, next to the sink
+//!    write that takes its own lock anyway.
 //! 3. **No external dependencies.** Events render through the hand-rolled
 //!    [`crate::json`] module; crates.io is unreachable in the build
 //!    environment.
@@ -37,11 +38,9 @@ use crate::json::{JsonValue, ToJson};
 
 /// Every counter the instrumented subsystems report.
 ///
-/// The discriminant doubles as the index into a [`MetricsRegistry`] thread
-/// slot, so adding a variant is all that is needed to plumb a new counter
-/// end to end.
+/// A counter is recorded on the one span whose work it measures; the
+/// declaration order is the order counters appear in a [`MetricSet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
 pub enum Counter {
     /// BDD manager: recursive apply/`ite` (and minimization/quantification)
     /// calls.
@@ -116,7 +115,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// All counters, in slot order.
+    /// All counters, in declaration order.
     pub const ALL: [Counter; 29] = [
         Counter::BddIteCalls,
         Counter::BddCacheHits,
@@ -189,20 +188,12 @@ impl Counter {
         Counter::ALL.iter().copied().find(|c| c.name() == name)
     }
 
-    /// The registry slot index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
     /// Whether this counter is a high-water mark (merged with `max`) rather
     /// than a monotonic sum.
     pub fn is_gauge(self) -> bool {
         matches!(self, Counter::BddPeakLiveNodes | Counter::BddCacheOccupancy)
     }
 }
-
-const COUNTER_COUNT: usize = Counter::ALL.len();
 
 /// A small named bag of counter values, used to carry per-attempt metrics
 /// on [`crate::EngineStats`] and per-span metrics on trace events.
@@ -253,7 +244,7 @@ impl MetricSet {
         }
     }
 
-    /// Iterates over the non-zero entries in slot order.
+    /// Iterates over the non-zero entries in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         self.entries.iter().copied()
     }
@@ -296,107 +287,6 @@ impl FromIterator<(Counter, u64)> for MetricSet {
             out.add(c, v);
         }
         out
-    }
-}
-
-#[derive(Debug)]
-struct ThreadSlot {
-    counts: [AtomicU64; COUNTER_COUNT],
-}
-
-impl ThreadSlot {
-    fn new() -> ThreadSlot {
-        ThreadSlot {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Per-thread counter storage.
-///
-/// Each scheduler worker calls [`MetricsRegistry::register`] once and then
-/// increments its private slot with relaxed atomics — no locks and no
-/// cache-line ping-pong between workers on the hot path ("lock-free-ish":
-/// the slot list itself is behind a mutex, taken only at registration and
-/// when summing totals).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    slots: Mutex<Vec<Arc<ThreadSlot>>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Allocates a fresh thread slot. Call once per worker thread.
-    pub fn register(&self) -> MetricsHandle {
-        let slot = Arc::new(ThreadSlot::new());
-        self.slots.lock().unwrap().push(Arc::clone(&slot));
-        MetricsHandle { slot: Some(slot) }
-    }
-
-    /// Number of thread slots registered so far.
-    pub fn threads(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-
-    /// Sums all thread slots into one [`MetricSet`] (gauges take the max
-    /// across threads).
-    pub fn totals(&self) -> MetricSet {
-        let slots = self.slots.lock().unwrap();
-        let mut out = MetricSet::new();
-        for slot in slots.iter() {
-            for c in Counter::ALL {
-                let v = slot.counts[c.index()].load(Ordering::Relaxed);
-                out.add(c, v);
-            }
-        }
-        out
-    }
-}
-
-/// A writer handle into a [`MetricsRegistry`] thread slot.
-///
-/// The no-op form (from [`Tracer::handle`] on a disabled tracer, or
-/// [`MetricsHandle::noop`]) makes every operation a single branch.
-#[derive(Clone, Debug)]
-pub struct MetricsHandle {
-    slot: Option<Arc<ThreadSlot>>,
-}
-
-impl MetricsHandle {
-    /// A handle that discards everything.
-    pub fn noop() -> MetricsHandle {
-        MetricsHandle { slot: None }
-    }
-
-    /// True if increments actually land somewhere.
-    pub fn is_recording(&self) -> bool {
-        self.slot.is_some()
-    }
-
-    /// Adds `value` to `counter` (gauges take the max).
-    #[inline]
-    pub fn add(&self, counter: Counter, value: u64) {
-        if let Some(slot) = &self.slot {
-            let cell = &slot.counts[counter.index()];
-            if counter.is_gauge() {
-                cell.fetch_max(value, Ordering::Relaxed);
-            } else {
-                cell.fetch_add(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Folds a whole [`MetricSet`] into the slot.
-    pub fn add_set(&self, metrics: &MetricSet) {
-        if self.slot.is_some() {
-            for (c, v) in metrics.iter() {
-                self.add(c, v);
-            }
-        }
     }
 }
 
@@ -471,14 +361,12 @@ pub enum TraceEvent {
         /// Free-form annotations (verdict, engine, …).
         fields: Vec<(String, JsonValue)>,
     },
-    /// Registry totals, emitted at the end of a run.
+    /// Counter totals, emitted at the end of a run.
     Totals {
         /// Time since the tracer's epoch.
         t: Duration,
-        /// Summed counters across all thread slots.
+        /// The merge of every span closed so far.
         metrics: MetricSet,
-        /// Number of thread slots that contributed.
-        threads: usize,
     },
 }
 
@@ -530,14 +418,9 @@ impl ToJson for TraceEvent {
                 }
                 JsonValue::Object(obj)
             }
-            TraceEvent::Totals {
-                t,
-                metrics,
-                threads,
-            } => JsonValue::object(vec![
+            TraceEvent::Totals { t, metrics } => JsonValue::object(vec![
                 ("type", JsonValue::string("totals")),
                 ("t", secs(t)),
-                ("threads", JsonValue::int(*threads as u64)),
                 ("metrics", metrics.to_json()),
             ]),
         }
@@ -621,7 +504,6 @@ impl TraceEvent {
                     .get("metrics")
                     .map(MetricSet::from_json)
                     .unwrap_or_default(),
-                threads: value.get("threads").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
             }),
             other => Err(schema(&format!("unknown event type {other:?}"))),
         }
@@ -702,11 +584,19 @@ impl TraceSink for MemorySink {
     }
 }
 
+/// Lets a tracer feed a sink the caller keeps a handle to.
+impl TraceSink for Arc<MemorySink> {
+    fn record(&self, event: &TraceEvent) {
+        MemorySink::record(self, event);
+    }
+}
+
 struct TracerInner {
     sink: Box<dyn TraceSink>,
     epoch: Instant,
     next_id: AtomicU64,
-    registry: MetricsRegistry,
+    /// The merge of every closed span's metrics.
+    totals: Mutex<MetricSet>,
 }
 
 /// Handle to the telemetry pipeline; cheap to clone, `None` inside when
@@ -737,7 +627,7 @@ impl Tracer {
                 sink: Box::new(sink),
                 epoch: Instant::now(),
                 next_id: AtomicU64::new(1),
-                registry: MetricsRegistry::new(),
+                totals: Mutex::new(MetricSet::new()),
             })),
         }
     }
@@ -758,15 +648,7 @@ impl Tracer {
     /// A tracer buffering into memory, returning the sink for inspection.
     pub fn in_memory() -> (Tracer, Arc<MemorySink>) {
         let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer {
-            inner: Some(Arc::new(TracerInner {
-                sink: Box::new(SharedSink(Arc::clone(&sink))),
-                epoch: Instant::now(),
-                next_id: AtomicU64::new(1),
-                registry: MetricsRegistry::new(),
-            })),
-        };
-        (tracer, sink)
+        (Tracer::new(Arc::clone(&sink)), sink)
     }
 
     /// True if events are actually collected.
@@ -774,19 +656,10 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Registers a per-thread counter slot ([`MetricsHandle::noop`] when
-    /// disabled).
-    pub fn handle(&self) -> MetricsHandle {
-        match &self.inner {
-            Some(inner) => inner.registry.register(),
-            None => MetricsHandle::noop(),
-        }
-    }
-
-    /// Current counter totals across all registered threads.
+    /// The merge of every span closed so far (empty when disabled).
     pub fn totals(&self) -> MetricSet {
         match &self.inner {
-            Some(inner) => inner.registry.totals(),
+            Some(inner) => inner.totals.lock().unwrap().clone(),
             None => MetricSet::new(),
         }
     }
@@ -838,13 +711,12 @@ impl Tracer {
         }
     }
 
-    /// Emits a [`TraceEvent::Totals`] snapshot of the registry.
+    /// Emits a [`TraceEvent::Totals`] snapshot of [`Tracer::totals`].
     pub fn emit_totals(&self) {
         if let Some(inner) = &self.inner {
             inner.sink.record(&TraceEvent::Totals {
                 t: inner.epoch.elapsed(),
-                metrics: inner.registry.totals(),
-                threads: inner.registry.threads(),
+                metrics: self.totals(),
             });
         }
     }
@@ -854,18 +726,6 @@ impl Tracer {
         if let Some(inner) = &self.inner {
             inner.sink.flush();
         }
-    }
-}
-
-/// Adapter so an `Arc`-shared sink can back a tracer.
-struct SharedSink(Arc<MemorySink>);
-
-impl TraceSink for SharedSink {
-    fn record(&self, event: &TraceEvent) {
-        self.0.record(event);
-    }
-    fn flush(&self) {
-        TraceSink::flush(&*self.0);
     }
 }
 
@@ -931,6 +791,9 @@ impl Drop for Span {
         let (Some(start), Some(inner)) = (self.start, &self.tracer.inner) else {
             return;
         };
+        if !self.metrics.is_empty() {
+            inner.totals.lock().unwrap().merge(&self.metrics);
+        }
         let now = Instant::now();
         inner.sink.record(&TraceEvent::SpanEnd {
             id: self.id,
@@ -942,289 +805,6 @@ impl Drop for Span {
             metrics: std::mem::take(&mut self.metrics),
             fields: std::mem::take(&mut self.fields),
         });
-    }
-}
-
-pub mod summary {
-    //! Folds a JSONL trace stream into per-case and per-engine tables —
-    //! the telemetry-side reproduction of the paper's Table 1 columns
-    //! (case, BDD nodes, conflicts, CPU time).
-
-    use super::*;
-
-    /// One row per closed `case` span.
-    #[derive(Clone, Debug)]
-    pub struct CaseRow {
-        /// Case name (the `CaseId` debug form, e.g. `"FarOut"`).
-        pub name: String,
-        /// Name of the engine that produced the final verdict.
-        pub engine: String,
-        /// Final verdict string (`"holds"`, `"fails"`, …).
-        pub verdict: String,
-        /// Peak live BDD nodes across the case's attempts.
-        pub peak_bdd_nodes: Option<u64>,
-        /// SAT conflicts accumulated across the case's attempts.
-        pub sat_conflicts: Option<u64>,
-        /// Engine attempts (1 = no escalation).
-        pub attempts: u64,
-        /// Wall time spent on the case.
-        pub wall: Duration,
-        /// Time the case sat queued before a worker picked it up.
-        pub queue_latency: Duration,
-        /// Whether a worker stole the case from a neighbour's queue.
-        pub stolen: bool,
-    }
-
-    /// Aggregate effort per engine, folded from `stage` spans.
-    #[derive(Clone, Debug)]
-    pub struct EngineRow {
-        /// Engine name (e.g. `"bdd"`, `"sat"`).
-        pub name: String,
-        /// Number of attempts this engine ran.
-        pub attempts: usize,
-        /// Total wall time across attempts.
-        pub wall: Duration,
-        /// Summed counters across attempts.
-        pub metrics: MetricSet,
-    }
-
-    /// The folded view of one JSONL trace stream.
-    #[derive(Clone, Debug, Default)]
-    pub struct TraceSummary {
-        /// Name of the run span, if one closed in the stream.
-        pub run_name: Option<String>,
-        /// Wall time of the run span.
-        pub run_wall: Option<Duration>,
-        /// Per-case rows in stream (completion) order.
-        pub cases: Vec<CaseRow>,
-        /// Per-engine aggregates, sorted by name.
-        pub engines: Vec<EngineRow>,
-        /// Registry totals from the final `totals` event.
-        pub totals: MetricSet,
-        /// Thread slots that contributed to `totals`.
-        pub threads: usize,
-    }
-
-    /// Parses a JSONL stream (one event per line, blank lines ignored) and
-    /// folds it into a [`TraceSummary`].
-    pub fn summarize_jsonl(text: &str) -> Result<TraceSummary, Error> {
-        let mut events = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            events.push(TraceEvent::from_json(&JsonValue::parse(line)?)?);
-        }
-        Ok(summarize(&events))
-    }
-
-    /// Folds already-parsed events (e.g. from a [`MemorySink`]).
-    pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
-        let mut out = TraceSummary::default();
-        for ev in events {
-            match ev {
-                TraceEvent::SpanEnd {
-                    kind: SpanKind::Run,
-                    name,
-                    dur,
-                    ..
-                } => {
-                    out.run_name = Some(name.clone());
-                    out.run_wall = Some(*dur);
-                }
-                TraceEvent::SpanEnd {
-                    kind: SpanKind::Case,
-                    name,
-                    dur,
-                    metrics,
-                    fields,
-                    ..
-                } => {
-                    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                    let peak = metrics.get(Counter::BddPeakLiveNodes);
-                    let conflicts = metrics.get(Counter::SatConflicts);
-                    out.cases.push(CaseRow {
-                        name: name.clone(),
-                        engine: field("engine")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("?")
-                            .to_string(),
-                        verdict: field("verdict")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("?")
-                            .to_string(),
-                        peak_bdd_nodes: (peak > 0).then_some(peak),
-                        sat_conflicts: (conflicts > 0).then_some(conflicts),
-                        attempts: field("attempts").and_then(|v| v.as_u64()).unwrap_or(1),
-                        wall: *dur,
-                        queue_latency: Duration::from_micros(
-                            metrics.get(Counter::SchedQueueLatencyMicros),
-                        ),
-                        stolen: metrics.get(Counter::SchedSteals) > 0,
-                    });
-                }
-                TraceEvent::SpanEnd {
-                    kind: SpanKind::Stage,
-                    name,
-                    dur,
-                    metrics,
-                    ..
-                } => {
-                    let idx = out
-                        .engines
-                        .iter()
-                        .position(|r| r.name == *name)
-                        .unwrap_or_else(|| {
-                            out.engines.push(EngineRow {
-                                name: name.clone(),
-                                attempts: 0,
-                                wall: Duration::ZERO,
-                                metrics: MetricSet::new(),
-                            });
-                            out.engines.len() - 1
-                        });
-                    let row = &mut out.engines[idx];
-                    row.attempts += 1;
-                    row.wall += *dur;
-                    row.metrics.merge(metrics);
-                }
-                TraceEvent::Totals {
-                    metrics, threads, ..
-                } => {
-                    out.totals = metrics.clone();
-                    out.threads = *threads;
-                }
-                _ => {}
-            }
-        }
-        out.engines.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    impl TraceSummary {
-        /// Renders the summary as aligned text tables (per-case, then
-        /// per-engine) in the spirit of the paper's Table 1.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            if let Some(name) = &self.run_name {
-                out.push_str(&format!(
-                    "run {name}  wall {:.3}s  threads {}\n\n",
-                    self.run_wall.unwrap_or_default().as_secs_f64(),
-                    self.threads
-                ));
-            }
-            out.push_str(&format!(
-                "{:<22} {:>8} {:>10} {:>10} {:>9} {:>9} {:>7}  {}\n",
-                "case", "verdict", "bdd-nodes", "conflicts", "time", "queued", "stolen", "engine"
-            ));
-            for c in &self.cases {
-                out.push_str(&format!(
-                    "{:<22} {:>8} {:>10} {:>10} {:>8.3}s {:>8.3}s {:>7}  {}\n",
-                    c.name,
-                    c.verdict,
-                    c.peak_bdd_nodes
-                        .map(|n| n.to_string())
-                        .unwrap_or_else(|| "-".into()),
-                    c.sat_conflicts
-                        .map(|n| n.to_string())
-                        .unwrap_or_else(|| "-".into()),
-                    c.wall.as_secs_f64(),
-                    c.queue_latency.as_secs_f64(),
-                    if c.stolen { "yes" } else { "no" },
-                    c.engine,
-                ));
-            }
-            if !self.engines.is_empty() {
-                out.push('\n');
-                out.push_str(&format!(
-                    "{:<12} {:>8} {:>10}  {}\n",
-                    "engine", "attempts", "time", "counters"
-                ));
-                for e in &self.engines {
-                    let counters = e
-                        .metrics
-                        .iter()
-                        .map(|(c, v)| format!("{}={v}", c.name()))
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    out.push_str(&format!(
-                        "{:<12} {:>8} {:>9.3}s  {}\n",
-                        e.name,
-                        e.attempts,
-                        e.wall.as_secs_f64(),
-                        counters
-                    ));
-                }
-            }
-            out
-        }
-
-        /// Machine-readable form of the summary.
-        pub fn to_json(&self) -> JsonValue {
-            JsonValue::object(vec![
-                (
-                    "schema_version",
-                    JsonValue::int(crate::json::SCHEMA_VERSION),
-                ),
-                (
-                    "run",
-                    JsonValue::opt(self.run_name.as_deref(), JsonValue::string),
-                ),
-                (
-                    "run_wall_seconds",
-                    JsonValue::opt(self.run_wall, |d| JsonValue::Number(d.as_secs_f64())),
-                ),
-                ("threads", JsonValue::int(self.threads as u64)),
-                (
-                    "cases",
-                    JsonValue::Array(
-                        self.cases
-                            .iter()
-                            .map(|c| {
-                                JsonValue::object(vec![
-                                    ("case", JsonValue::string(c.name.clone())),
-                                    ("engine", JsonValue::string(c.engine.clone())),
-                                    ("verdict", JsonValue::string(c.verdict.clone())),
-                                    (
-                                        "peak_bdd_nodes",
-                                        JsonValue::opt(c.peak_bdd_nodes, JsonValue::int),
-                                    ),
-                                    (
-                                        "sat_conflicts",
-                                        JsonValue::opt(c.sat_conflicts, JsonValue::int),
-                                    ),
-                                    ("attempts", JsonValue::int(c.attempts)),
-                                    ("wall_seconds", JsonValue::Number(c.wall.as_secs_f64())),
-                                    (
-                                        "queue_latency_seconds",
-                                        JsonValue::Number(c.queue_latency.as_secs_f64()),
-                                    ),
-                                    ("stolen", JsonValue::Bool(c.stolen)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "engines",
-                    JsonValue::Array(
-                        self.engines
-                            .iter()
-                            .map(|e| {
-                                JsonValue::object(vec![
-                                    ("engine", JsonValue::string(e.name.clone())),
-                                    ("attempts", JsonValue::int(e.attempts as u64)),
-                                    ("wall_seconds", JsonValue::Number(e.wall.as_secs_f64())),
-                                    ("counters", e.metrics.to_json()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("totals", self.totals.to_json()),
-            ])
-        }
     }
 }
 
@@ -1273,10 +853,6 @@ mod tests {
         span.record(Counter::SatConflicts, 99);
         drop(span);
         assert!(tracer.totals().is_empty());
-        let handle = tracer.handle();
-        assert!(!handle.is_recording());
-        handle.add(Counter::SatConflicts, 3);
-        assert!(tracer.totals().is_empty());
     }
 
     #[test]
@@ -1310,31 +886,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_sums_across_threads() {
-        let registry = MetricsRegistry::new();
-        std::thread::scope(|scope| {
-            for i in 0..4u64 {
-                let handle = registry.register();
-                scope.spawn(move || {
-                    handle.add(Counter::SatConflicts, i + 1);
-                    handle.add(Counter::BddPeakLiveNodes, 10 * (i + 1));
-                });
-            }
-        });
-        let totals = registry.totals();
-        assert_eq!(totals.get(Counter::SatConflicts), 1 + 2 + 3 + 4);
-        assert_eq!(totals.get(Counter::BddPeakLiveNodes), 40, "gauge max");
-        assert_eq!(registry.threads(), 4);
-    }
-
-    #[test]
     fn events_round_trip_through_jsonl() {
         let (tracer, sink) = Tracer::in_memory();
         {
             let mut run = tracer.span(SpanKind::Run, || "verify:Fma".into());
             run.field("op", JsonValue::string("Fma"));
-            let handle = tracer.handle();
-            handle.add(Counter::SatConflicts, 17);
             let mut case = run.child(SpanKind::Case, || "FarOut".into());
             case.record(Counter::SatConflicts, 17);
             case.field("verdict", JsonValue::string("holds"));
@@ -1348,11 +904,5 @@ mod tests {
             .map(|l| TraceEvent::from_json(&JsonValue::parse(l).unwrap()).unwrap())
             .collect();
         assert_eq!(reparsed, sink.events());
-        let s = summary::summarize_jsonl(&text).unwrap();
-        assert_eq!(s.cases.len(), 1);
-        assert_eq!(s.cases[0].name, "FarOut");
-        assert_eq!(s.cases[0].sat_conflicts, Some(17));
-        assert_eq!(s.totals.get(Counter::SatConflicts), 17);
-        assert!(s.render().contains("FarOut"));
     }
 }

@@ -1,11 +1,14 @@
 //! Telemetry integration tests: span nesting across a real verification
-//! run, counter aggregation across scheduler threads, the JSONL round-trip
-//! through `trace::summary`, and the no-op fast path.
+//! run, totals folded from spans across scheduler threads, the JSONL
+//! round-trip of a real trace, warm-cache totals that claim no replayed
+//! work, and the no-op fast path.
 
 use std::collections::HashSet;
+use std::path::PathBuf;
 
 use fmaverify::prelude::*;
-use fmaverify::trace::{summary, SpanKind as K, TraceEvent};
+use fmaverify::trace::{SpanKind as K, TraceEvent};
+use fmaverify::{JsonValue, MetricSet};
 
 fn tiny() -> FpuConfig {
     FpuConfig {
@@ -23,6 +26,29 @@ fn session(cfg: &FpuConfig, threads: usize, tracer: Tracer) -> Session {
         }
         .tracer(tracer),
     )
+}
+
+/// The metrics of the last `totals` event.
+fn last_totals(events: &[TraceEvent]) -> MetricSet {
+    events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            TraceEvent::Totals { metrics, .. } => Some(metrics.clone()),
+            _ => None,
+        })
+        .expect("a totals event at end of run")
+}
+
+/// The merge of every `span_end` event's metrics.
+fn merged_span_metrics(events: &[TraceEvent]) -> MetricSet {
+    let mut out = MetricSet::new();
+    for e in events {
+        if let TraceEvent::SpanEnd { metrics, .. } = e {
+            out.merge(metrics);
+        }
+    }
+    out
 }
 
 #[test]
@@ -102,19 +128,12 @@ fn counters_aggregate_across_scheduler_threads() {
     assert!(report.all_hold());
 
     let events = sink.events();
-    let totals = events
-        .iter()
-        .find_map(|e| match e {
-            TraceEvent::Totals {
-                metrics, threads, ..
-            } => Some((metrics.clone(), *threads)),
-            _ => None,
-        })
-        .expect("a totals event at end of run");
-    let (metrics, threads) = totals;
-    assert!(threads >= 1, "at least one worker registered a slot");
+    let metrics = last_totals(&events);
 
-    // Registry totals must equal the sums over the per-case reports.
+    // Totals are the span fold: every counter is recorded on exactly one
+    // span, so the merge of all span ends reproduces them.
+    assert_eq!(metrics, merged_span_metrics(&events));
+    // ...and they equal the sums over the per-case reports.
     assert_eq!(
         metrics.get(Counter::SchedCasesCompleted),
         report.results.len() as u64
@@ -141,47 +160,114 @@ fn jsonl_round_trip_reproduces_per_case_columns() {
 
     // Serialize to JSONL text and parse it back with the crate's own
     // parser — the exact pipeline an external consumer would run.
-    let text = sink.to_jsonl();
-    let summary = summary::summarize_jsonl(&text).expect("well-formed JSONL");
+    let events = sink.events();
+    let reparsed: Vec<TraceEvent> = sink
+        .to_jsonl()
+        .lines()
+        .map(|line| TraceEvent::from_json(&JsonValue::parse(line).unwrap()).unwrap())
+        .collect();
+    assert_eq!(reparsed, events);
 
-    assert_eq!(summary.run_name.as_deref(), Some("verify:Add"));
-    assert_eq!(summary.cases.len(), report.results.len());
-    let by_name = |name: &str| {
-        summary
-            .cases
+    // Each case span's stage children carry exactly the engine counters of
+    // the matching result's attempts.
+    let mut seen = 0;
+    for ev in &reparsed {
+        let TraceEvent::SpanEnd {
+            id,
+            kind: K::Case,
+            name,
+            ..
+        } = ev
+        else {
+            continue;
+        };
+        let result = report
+            .results
             .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("case row {name}"))
-    };
-    for r in &report.results {
-        let row = by_name(&format!("{:?}", r.case));
-        assert_eq!(row.verdict, "holds");
-        assert_eq!(row.attempts, r.attempts.len() as u64);
-        let nodes: u64 = r
-            .attempts
-            .iter()
-            .map(|a| a.stats.peak_bdd_nodes.unwrap_or(0) as u64)
-            .max()
-            .unwrap_or(0);
-        assert_eq!(row.peak_bdd_nodes.unwrap_or(0), nodes);
-        let conflicts: u64 = r
-            .attempts
-            .iter()
-            .map(|a| a.stats.sat_conflicts.unwrap_or(0))
-            .sum();
-        assert_eq!(row.sat_conflicts.unwrap_or(0), conflicts);
+            .find(|r| format!("{:?}", r.case) == *name)
+            .unwrap_or_else(|| panic!("no result for case span {name}"));
+        let mut stages = MetricSet::new();
+        for child in &reparsed {
+            if let TraceEvent::SpanEnd {
+                parent: Some(p),
+                kind: K::Stage,
+                metrics,
+                ..
+            } = child
+            {
+                if p == id {
+                    stages.merge(metrics);
+                }
+            }
+        }
+        let mut attempts = MetricSet::new();
+        for a in &result.attempts {
+            attempts.merge(&a.stats.metrics);
+        }
+        assert!(!attempts.is_empty(), "case {name} recorded no counters");
+        assert_eq!(stages, attempts, "stage counters of case {name}");
+        seen += 1;
     }
-    // Engine aggregates cover every attempt.
-    let attempts: usize = report.results.iter().map(|r| r.attempts.len()).sum();
-    assert_eq!(
-        summary.engines.iter().map(|e| e.attempts).sum::<usize>(),
-        attempts
+    assert_eq!(seen, report.results.len());
+}
+
+/// A unique temp cache directory per test (removed on drop).
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn warm_totals_claim_no_replayed_work() {
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("fmaverify-trace-it-warm-{}", std::process::id())),
     );
-    // The rendered table mentions every case.
-    let rendered = summary.render();
-    for r in &report.results {
-        assert!(rendered.contains(&format!("{:?}", r.case)));
-    }
+    let _ = std::fs::remove_dir_all(&dir.0);
+    // A node budget this small blows the BDD rung of every overlap case,
+    // so the cold run escalates almost every case to SAT.
+    let config = RunConfig {
+        threads: 2,
+        node_budget: Some(16),
+        escalate: true,
+        cache_mode: CacheMode::ReadWrite,
+        cache_dir: dir.0.clone(),
+        ..RunConfig::default()
+    };
+    let cold = Session::new(&tiny())
+        .configure(config.clone())
+        .run(FpuOp::Add);
+    assert!(cold.all_hold());
+    assert!(
+        cold.escalated_cases() > 0,
+        "the budget must force escalations"
+    );
+
+    let (tracer, sink) = Tracer::in_memory();
+    let warm = Session::new(&tiny())
+        .configure(config.tracer(tracer))
+        .run(FpuOp::Add);
+    assert!(warm.all_hold());
+    assert!(warm.results.iter().all(|r| r.cached));
+
+    let events = sink.events();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::SpanEnd { kind: K::Stage, .. })),
+        "a fully cached run runs no engine"
+    );
+    let totals = last_totals(&events);
+    assert_eq!(totals.get(Counter::SchedEscalations), 0);
+    assert_eq!(totals.get(Counter::CacheHits), warm.results.len() as u64);
+    assert_eq!(
+        totals.get(Counter::SchedCasesCompleted),
+        warm.results.len() as u64
+    );
+    assert_eq!(totals.get(Counter::SatConflicts), 0);
+    assert_eq!(totals, merged_span_metrics(&events));
 }
 
 #[test]
@@ -199,11 +285,9 @@ fn disabled_tracer_changes_nothing_and_emits_nothing() {
     }
     assert!(!sink.events().is_empty());
 
-    // The disabled tracer is inert end to end: no spans, no totals, and
-    // the per-thread handle refuses to record.
+    // The disabled tracer is inert end to end: no spans and no totals.
     let disabled = Tracer::disabled();
     assert!(!disabled.is_enabled());
-    assert!(!disabled.handle().is_recording());
     let mut span = disabled.span(SpanKind::Run, || unreachable!("lazy name must not run"));
     assert!(!span.is_recording());
     span.record(Counter::SatConflicts, 1);
