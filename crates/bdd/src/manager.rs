@@ -184,7 +184,7 @@ const FREE_VAR: u32 = u32::MAX - 1;
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Default computed-cache size *cap* in entries (a power of two; each entry
-/// is 20 bytes). The cache starts at [`INITIAL_CACHE_SIZE`] and doubles on
+/// is 20 bytes). The cache starts at 4096 entries and doubles on
 /// occupancy up to this cap, so small cases keep a hot, compact cache while
 /// big sweeps still get capacity. Override per manager with
 /// [`BddManager::with_cache_size`] or per run with
@@ -465,7 +465,7 @@ impl BddManager {
     ///
     /// The cache is direct-mapped and lossy: a smaller cap trades recompute
     /// work for memory, it never affects results. It starts at
-    /// [`INITIAL_CACHE_SIZE`] (or the cap, if smaller) and doubles whenever
+    /// 4096 entries (or the cap, if smaller) and doubles whenever
     /// three quarters of it fill, so the hot probe range tracks the working
     /// set instead of thrashing TLBs on a huge cold array.
     pub fn with_cache_size(entries: usize) -> BddManager {

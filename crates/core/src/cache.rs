@@ -348,7 +348,6 @@ fn intern_engine_name(name: &str) -> &'static str {
         "bdd/constrain" => "bdd/constrain",
         "bdd/restrict" => "bdd/restrict",
         "bdd/plain" => "bdd/plain",
-        "bdd-seq" => "bdd-seq",
         "sat" => "sat",
         "sat/sweep" => "sat/sweep",
         _ => "cached",

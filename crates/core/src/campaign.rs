@@ -36,8 +36,8 @@
 
 use std::time::{Duration, Instant};
 
-use fmaverify_fpu::{FpuConfig, FpuOp, PipelineMode};
-use fmaverify_netlist::{unroll, BitSim, InputMode, Netlist, Node, NodeId, Signal};
+use fmaverify_fpu::{FpuConfig, FpuOp};
+use fmaverify_netlist::{BitSim, Node, NodeId, Signal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,6 +47,7 @@ use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::mutate::{inject_fault, Mutation, MutationKind};
 use crate::runner::{CancellationToken, Verdict};
+use crate::sequential::{engine_view, probe_constraints};
 use crate::session::Session;
 use crate::trace::{Counter, SpanKind};
 
@@ -274,58 +275,11 @@ impl ToJson for CampaignReport {
     }
 }
 
-/// The per-case verification view of one (possibly mutated) netlist:
-/// pipelined harnesses are unrolled to their latency, combinational ones
-/// pass through, and the miter/constraint signals are re-located by name.
-struct View {
-    harness: Harness,
-    constraints: Vec<(CaseId, Vec<Signal>)>,
-}
-
-fn make_view(
-    base: &Harness,
-    netlist: Netlist,
-    probe_names: &[(CaseId, Vec<String>)],
-    pipeline: PipelineMode,
-) -> View {
-    let (netlist, miter, suffix) = if pipeline == PipelineMode::Combinational {
-        let miter = netlist.find_output("miter").expect("miter output");
-        (netlist, miter, String::new())
-    } else {
-        let latency = pipeline.latency();
-        let unrolled = unroll(&netlist, latency + 1, InputMode::HoldFirst);
-        let miter = unrolled
-            .netlist
-            .find_output(&format!("miter@{latency}"))
-            .expect("unrolled miter output");
-        (unrolled.netlist, miter, "@0".to_string())
-    };
-    let constraints = probe_names
-        .iter()
-        .map(|(case, names)| {
-            let parts = names
-                .iter()
-                .map(|n| {
-                    netlist
-                        .find_probe(&format!("{n}{suffix}"))
-                        .expect("constraint probe")
-                })
-                .collect();
-            (*case, parts)
-        })
-        .collect();
-    let harness = base.rebind(netlist, miter);
-    View {
-        harness,
-        constraints,
-    }
-}
-
 /// True if random simulation finds an input (with the opcode pinned to
 /// `op`) on which the view's miter fires — a witness that the mutant
 /// changes the architected function of this instruction.
-fn has_witness(view: &View, op: FpuOp, rng: &mut StdRng) -> bool {
-    let netlist = &view.harness.netlist;
+fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
+    let netlist = &view.netlist;
     // Pin the opcode; every other input is driven randomly. Unrolled
     // netlists hold their inputs at cycle 0 under `name@0`.
     let op_bits: Vec<(String, bool)> = (0..3)
@@ -347,7 +301,7 @@ fn has_witness(view: &View, op: FpuOp, rng: &mut StdRng) -> bool {
             sim.set(netlist.signal(id), value);
         }
         sim.eval();
-        if sim.get(view.harness.miter) {
+        if sim.get(view.miter) {
             return true;
         }
     }
@@ -369,7 +323,6 @@ fn has_witness(view: &View, op: FpuOp, rng: &mut StdRng) -> bool {
 /// no candidate gates.
 pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignReport {
     let start = Instant::now();
-    let pipeline = run.harness.pipeline;
     let mut base = build_harness(
         cfg,
         HarnessOptions {
@@ -378,23 +331,9 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         },
     );
 
-    // Materialize every case constraint as named probes: fault injection
-    // and unrolling preserve names, not node ids.
-    let cases = enumerate_cases(cfg, op);
-    let mut probe_names: Vec<(CaseId, Vec<String>)> = Vec::new();
-    for &case in &cases {
-        let parts = base.case_constraint_parts(op, case);
-        let names: Vec<String> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let name = format!("campaign.{op:?}.{}#{i}", case.label());
-                base.netlist.probe(&name, *p);
-                name
-            })
-            .collect();
-        probe_names.push((case, names));
-    }
+    // Name every case constraint as probes: fault injection and unrolling
+    // preserve names, not node ids.
+    let probes = probe_constraints(&mut base, op, &enumerate_cases(cfg, op));
 
     // Candidate faults: AND gates in the implementation's *sequential*
     // cone (through pipeline registers) that feed neither the reference
@@ -405,7 +344,7 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     };
     let impl_roots = gather(&base.impl_fpu.outputs.result, &base.impl_fpu.outputs.flags);
     let ref_roots = gather(&base.ref_fpu.outputs.result, &base.ref_fpu.outputs.flags);
-    let part_roots: Vec<Signal> = probe_names
+    let part_roots: Vec<Signal> = probes
         .iter()
         .flat_map(|(_, names)| names.iter())
         .map(|n| base.netlist.find_probe(n).expect("probe"))
@@ -445,8 +384,8 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
 
     // Clean baseline: the design must verify, and the shared cache is
     // seeded so mutants only re-prove cases their fault can reach.
-    let clean_view = make_view(&base, base.netlist.clone(), &probe_names, pipeline);
-    let clean = fresh_session().run_prepared(&clean_view.harness, op, &clean_view.constraints);
+    let (clean_view, clean_constraints) = engine_view(&base, base.netlist.clone(), &probes);
+    let clean = fresh_session().run_prepared(&clean_view, op, &clean_constraints);
     assert!(
         clean.iter().all(|r| r.verdict == Verdict::Holds),
         "clean design failed verification; a campaign against a broken design measures nothing"
@@ -475,14 +414,14 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
             kind: kinds[pick % kinds.len()],
         };
         let mutated = inject_fault(&base.netlist, mutation.node, mutation.kind);
-        let view = make_view(&base, mutated, &probe_names, pipeline);
+        let (view, constraints) = engine_view(&base, mutated, &probes);
         if !has_witness(&view, op, &mut rng) {
             screened_out += 1;
             continue;
         }
 
         let mutant_start = Instant::now();
-        let results = fresh_session().run_prepared(&view.harness, op, &view.constraints);
+        let results = fresh_session().run_prepared(&view, op, &constraints);
         let status = if let Some(fail) = results.iter().find(|r| r.verdict == Verdict::Fails) {
             MutantStatus::Killed {
                 case: fail.case,

@@ -21,7 +21,7 @@ use fmaverify_fpu::FpuOp;
 use fmaverify_netlist::Signal;
 
 use crate::cases::CaseId;
-use crate::engine_bdd::{check_miter_bdd_sequential, BddEngineOptions, BddOutcome, Minimize};
+use crate::engine_bdd::{check_miter_bdd_parts, BddEngineOptions, BddOutcome, Minimize};
 use crate::engine_sat::{check_miter_sat_parts, SatEngineOptions};
 use crate::error::Error;
 use crate::harness::Harness;
@@ -33,7 +33,10 @@ use crate::trace::{Counter, MetricSet};
 pub enum EngineKind {
     /// Combinational BDD symbolic simulation.
     Bdd,
-    /// Cycle-accurate BDD symbolic simulation of a sequential harness.
+    /// Cycle-accurate BDD symbolic simulation of a sequential harness. No
+    /// engine reports this kind any more (pipelined harnesses are unrolled
+    /// and checked by [`EngineKind::Bdd`]); it stays because the benchmark
+    /// package names it, and may change only together with the benchmark.
     BddSequential,
     /// Structural SAT on the (optionally swept) cone.
     Sat,
@@ -107,16 +110,6 @@ pub enum EngineVerdict {
     Error(Error),
 }
 
-impl EngineVerdict {
-    /// True for the two definite verdicts (holds / counterexample).
-    pub fn is_definite(&self) -> bool {
-        matches!(
-            self,
-            EngineVerdict::Holds | EngineVerdict::Counterexample(_)
-        )
-    }
-}
-
 /// The unified result of one engine attempt.
 #[derive(Clone, Debug)]
 pub struct EngineOutcome {
@@ -171,7 +164,7 @@ pub(crate) fn case_delta(case: CaseId) -> Option<i64> {
 }
 
 /// BDD symbolic simulation with care-set minimization of a combinational
-/// harness (cycle 0 of [`check_miter_bdd_sequential`]).
+/// harness (wraps [`check_miter_bdd_parts`]).
 #[derive(Clone, Debug)]
 pub struct BddCaseEngine {
     /// Minimization strategy.
@@ -190,33 +183,6 @@ impl Default for BddCaseEngine {
             gc_threshold: d.gc_threshold,
             cache_size: d.cache_size,
         }
-    }
-}
-
-impl BddCaseEngine {
-    /// Simulates the harness with its miter sampled at `check_cycle`.
-    fn check_at(
-        &self,
-        harness: &Harness,
-        case: CaseId,
-        constraint_parts: &[Signal],
-        budget: &EngineBudget,
-        check_cycle: usize,
-    ) -> EngineOutcome {
-        let out = check_miter_bdd_sequential(
-            &harness.netlist,
-            harness.miter,
-            constraint_parts,
-            check_cycle,
-            &BddEngineOptions {
-                minimize: self.minimize,
-                order: paper_order(harness, case_delta(case)),
-                gc_threshold: self.gc_threshold,
-                node_limit: budget.node_limit,
-                cache_size: self.cache_size,
-            },
-        );
-        bdd_outcome_to_engine(out)
     }
 }
 
@@ -241,35 +207,19 @@ impl CaseEngine for BddCaseEngine {
         constraint_parts: &[Signal],
         budget: &EngineBudget,
     ) -> EngineOutcome {
-        self.check_at(harness, case, constraint_parts, budget, 0)
-    }
-}
-
-/// Cycle-accurate BDD symbolic simulation of a pipelined harness: the same
-/// simulation, with the miter sampled at the pipeline latency.
-#[derive(Clone, Debug, Default)]
-pub struct BddSeqCaseEngine(pub BddCaseEngine);
-
-impl CaseEngine for BddSeqCaseEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::BddSequential
-    }
-
-    fn name(&self) -> &'static str {
-        "bdd-seq"
-    }
-
-    fn check(
-        &self,
-        harness: &Harness,
-        _op: FpuOp,
-        case: CaseId,
-        constraint_parts: &[Signal],
-        budget: &EngineBudget,
-    ) -> EngineOutcome {
-        let latency = harness.options().pipeline.latency();
-        self.0
-            .check_at(harness, case, constraint_parts, budget, latency)
+        let out = check_miter_bdd_parts(
+            &harness.netlist,
+            harness.miter,
+            constraint_parts,
+            &BddEngineOptions {
+                minimize: self.minimize,
+                order: paper_order(harness, case_delta(case)),
+                gc_threshold: self.gc_threshold,
+                node_limit: budget.node_limit,
+                cache_size: self.cache_size,
+            },
+        );
+        bdd_outcome_to_engine(out)
     }
 }
 

@@ -421,6 +421,7 @@ mod tests {
     use crate::cases::{enumerate_cases, CaseId};
     use crate::harness::{build_harness, HarnessOptions};
     use crate::order::paper_order;
+    use crate::sequential::{engine_view, probe_constraints};
     use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
     use fmaverify_softfloat::FpFormat;
 
@@ -580,15 +581,36 @@ mod tests {
         assert_eq!(seq.manager_stats, comb.manager_stats);
     }
 
-    #[test]
-    fn pipelined_case_collects_inside_a_cycle() {
-        let mut harness = build_harness(
+    /// The (3,2) harness with a three-stage pipelined implementation.
+    fn pipelined_harness() -> crate::harness::Harness {
+        build_harness(
             &tiny_cfg(),
             HarnessOptions {
                 pipeline: PipelineMode::ThreeStage,
                 ..HarnessOptions::default()
             },
-        );
+        )
+    }
+
+    /// `netlist` with its first AND gate that feeds a register's
+    /// next-state function inverted (a sequential-only bug).
+    fn register_fault(netlist: &Netlist) -> Netlist {
+        let target = netlist
+            .latches()
+            .iter()
+            .find_map(|&l| match netlist.node(l) {
+                Node::Latch { next, .. } if matches!(netlist.node(next.node()), Node::And(..)) => {
+                    Some(next.node())
+                }
+                _ => None,
+            })
+            .expect("a register fed by logic");
+        crate::mutate::inject_fault(netlist, target, crate::mutate::MutationKind::InvertOutput)
+    }
+
+    #[test]
+    fn pipelined_case_collects_inside_a_cycle() {
+        let mut harness = pipelined_harness();
         let latency = PipelineMode::ThreeStage.latency();
         let parts = harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
         let out = check_miter_bdd_sequential(
@@ -607,80 +629,56 @@ mod tests {
         assert!(gc_runs > parts.len() + latency, "{gc_runs} collections");
     }
 
+    /// The paper's engine on the sequential netlist and the unrolled view
+    /// every runner checks ([`engine_view`]) must agree, on the clean
+    /// design (every sampled case holds) and on a register fault (some
+    /// sampled case fails in both).
     #[test]
     fn sequential_engine_verifies_pipelined_cases() {
-        let cfg = FpuConfig {
-            format: FpFormat::new(3, 2),
-            denormals: DenormalMode::FlushToZero,
-        };
-        let mut harness = build_harness(
-            &cfg,
-            HarnessOptions {
-                pipeline: PipelineMode::ThreeStage,
-                ..HarnessOptions::default()
-            },
-        );
+        let mut harness = pipelined_harness();
         let latency = PipelineMode::ThreeStage.latency();
         // A representative subset (the full sweep is covered by the
         // unrolling test).
-        let cases: Vec<CaseId> = enumerate_cases(&cfg, FpuOp::Fma)
+        let cases: Vec<CaseId> = enumerate_cases(&tiny_cfg(), FpuOp::Fma)
             .into_iter()
             .step_by(7)
             .collect();
-        for case in cases {
-            let parts = harness.case_constraint_parts(FpuOp::Fma, case);
-            let out = check_miter_bdd_sequential(
-                &harness.netlist,
-                harness.miter,
-                &parts,
-                latency,
-                &BddEngineOptions::default(),
-            );
-            assert!(out.holds && !out.aborted, "case {case:?}");
+        let probes = probe_constraints(&mut harness, FpuOp::Fma, &cases);
+        let faulty = register_fault(&harness.netlist);
+        for (netlist, clean) in [(harness.netlist.clone(), true), (faulty, false)] {
+            let (view, constraints) = engine_view(&harness, netlist.clone(), &probes);
+            let miter = netlist.find_output("miter").expect("miter");
+            let mut failures = 0;
+            for ((case, names), (_, unrolled_parts)) in probes.iter().zip(&constraints) {
+                let parts: Vec<Signal> = names
+                    .iter()
+                    .map(|n| netlist.find_probe(n).expect("probe"))
+                    .collect();
+                let opts = BddEngineOptions::default();
+                let seq = check_miter_bdd_sequential(&netlist, miter, &parts, latency, &opts);
+                let unrolled =
+                    check_miter_bdd_parts(&view.netlist, view.miter, unrolled_parts, &opts);
+                assert!(!seq.aborted && !unrolled.aborted, "case {case:?}");
+                assert_eq!(seq.holds, unrolled.holds, "engines disagree on {case:?}");
+                failures += usize::from(!seq.holds);
+            }
+            if clean {
+                assert_eq!(failures, 0, "the clean design must hold");
+            } else {
+                assert!(failures > 0, "the register fault must be visible");
+            }
         }
     }
 
     #[test]
     fn sequential_engine_finds_pipelined_bugs() {
-        let cfg = FpuConfig {
-            format: FpFormat::new(3, 2),
-            denormals: DenormalMode::FlushToZero,
-        };
-        let mut harness = build_harness(
-            &cfg,
-            HarnessOptions {
-                pipeline: PipelineMode::ThreeStage,
-                ..HarnessOptions::default()
-            },
-        );
-        // Inject a fault into an AND gate feeding a register next-state
-        // function (a sequential-only bug).
+        let mut harness = pipelined_harness();
         let parts_all =
             harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
         for (i, p) in parts_all.iter().enumerate() {
             harness.netlist.probe(format!("seqbug#{i}"), *p);
         }
-        let target = harness
-            .netlist
-            .latches()
-            .iter()
-            .find_map(|&l| match harness.netlist.node(l) {
-                fmaverify_netlist::Node::Latch { next, .. }
-                    if matches!(
-                        harness.netlist.node(next.node()),
-                        fmaverify_netlist::Node::And(..)
-                    ) =>
-                {
-                    Some(next.node())
-                }
-                _ => None,
-            })
-            .expect("a register fed by logic");
-        let mutated = crate::mutate::inject_fault(
-            &harness.netlist,
-            target,
-            crate::mutate::MutationKind::InvertOutput,
-        );
+        let mutated = register_fault(&harness.netlist);
         let miter = mutated.find_output("miter").expect("miter");
         let parts: Vec<Signal> = (0..parts_all.len())
             .map(|i| mutated.find_probe(&format!("seqbug#{i}")).expect("probe"))

@@ -31,6 +31,13 @@ pub enum Error {
         /// Which engine kind dropped the model.
         engine: EngineKind,
     },
+    /// A harness handed to the scheduler still has registers. The engines
+    /// do not step registers, so every verdict would be false; unroll a
+    /// pipelined harness first ([`crate::sequential::unroll_harness`]).
+    SequentialNetlist {
+        /// Registers in the netlist.
+        latches: usize,
+    },
     /// An I/O failure, typically from a JSONL trace sink or a results
     /// writer. The underlying `std::io::Error` is rendered eagerly because
     /// it is not `Clone`.
@@ -74,6 +81,10 @@ impl fmt::Display for Error {
             Error::MissingModel { engine } => {
                 write!(f, "{engine:?} engine reported failure without a model")
             }
+            Error::SequentialNetlist { latches } => write!(
+                f,
+                "netlist has {latches} registers; unroll the pipelined harness first"
+            ),
             Error::Io { context, message } => write!(f, "i/o error ({context}): {message}"),
             Error::JsonParse { offset, message } => {
                 write!(f, "json parse error at byte {offset}: {message}")

@@ -35,8 +35,10 @@ pub struct HarnessOptions {
     /// Include the IEEE flags in the miter (the paper compares "the
     /// results"; flags are part of the architected result).
     pub compare_flags: bool,
-    /// Pipelining of the implementation FPU. Pipelined harnesses must be
-    /// unrolled before formal checks (see [`crate::sequential::unroll_harness`]).
+    /// Pipelining of the implementation FPU. [`crate::Session::run`]
+    /// unrolls a pipelined harness to its latency before the engines run;
+    /// callers of [`crate::Session::run_prepared`] unroll it themselves
+    /// with [`crate::sequential::unroll_harness`] and [`Harness::rebind`].
     pub pipeline: PipelineMode,
     /// Implementation-specific `S'`,`T'` rules (hot-one constants) to fold
     /// into the multiplier constraint.

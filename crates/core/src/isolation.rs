@@ -164,24 +164,6 @@ pub fn derive_st_constants_for(
     out
 }
 
-/// Picks random `S'`,`T'` values satisfying the basic range property, for
-/// testing the isolated harness concretely.
-pub fn random_valid_st(cfg: &FpuConfig, rng: &mut StdRng, ma: u128, mb: u128) -> (u128, u128) {
-    let wwin = cfg.window_bits() as u32;
-    let product = ma * mb;
-    // Any split S + T = product (mod 2^wwin) is a valid multiplier output
-    // behaviourally; pick a random S and derive T.
-    let mask = if wwin >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << wwin) - 1
-    };
-    let s = rng.gen::<u128>() & mask;
-    let t = product.wrapping_sub(s) & mask;
-    let _ = cfg;
-    (s, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

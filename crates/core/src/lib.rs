@@ -118,8 +118,8 @@ pub use cec::{check_equivalence, import_netlist, CecResult};
 pub use completeness::{prove_completeness, CompletenessResult};
 pub use config::{RunConfig, DEFAULT_CACHE_DIR};
 pub use engine::{
-    BddCaseEngine, BddSeqCaseEngine, CaseEngine, EngineBudget, EngineKind, EngineOutcome,
-    EngineStats, EngineVerdict, SatCaseEngine,
+    BddCaseEngine, CaseEngine, EngineBudget, EngineKind, EngineOutcome, EngineStats, EngineVerdict,
+    SatCaseEngine,
 };
 pub use engine_bdd::{
     check_miter_bdd_parts, check_miter_bdd_sequential, BddEngineOptions, BddOutcome, Minimize,
@@ -141,8 +141,8 @@ pub use mutate::{
 pub use order::{naive_order, paper_order};
 pub use report::{render_table1, summarize, table1_rows, TableRow};
 pub use runner::{
-    run_case_ladder, CancellationToken, CaseAttempt, CaseResult, CounterExample, EngineStage,
-    InstructionReport, SchedulePolicy, Verdict,
+    CancellationToken, CaseAttempt, CaseResult, CounterExample, EngineStage, InstructionReport,
+    SchedulePolicy, Verdict,
 };
 pub use semi_formal::{semi_formal_check, SemiFormalOutcome};
 pub use sequential::{unroll_harness, UnrolledHarness};

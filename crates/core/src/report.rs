@@ -136,15 +136,15 @@ pub fn render_table1(rows: &[TableRow]) -> String {
 /// engine split, escalations, pass/fail).
 pub fn summarize(report: &InstructionReport) -> String {
     // A canceled case ran no engine and counts as neither.
-    let count = |kinds: &[EngineKind]| {
+    let count = |kind: EngineKind| {
         report
             .results
             .iter()
-            .filter(|r| r.engine().is_some_and(|k| kinds.contains(&k)))
+            .filter(|r| r.engine() == Some(kind))
             .count()
     };
-    let bdd = count(&[EngineKind::Bdd, EngineKind::BddSequential]);
-    let sat = count(&[EngineKind::Sat]);
+    let bdd = count(EngineKind::Bdd);
+    let sat = count(EngineKind::Sat);
     let escalated = report.escalated_cases();
     let escalation_note = if escalated > 0 {
         format!(", {escalated} escalated")

@@ -354,6 +354,17 @@ pub(crate) fn schedule_cases(
     };
     let workers = threads.min(constraints.len()).max(1);
 
+    // The engines do not step registers (BDD reads them at reset, SAT as
+    // free inputs), so any verdict on a netlist with registers is false.
+    let latches = harness.netlist.num_latches();
+    if latches > 0 {
+        let error = Error::SequentialNetlist { latches };
+        return constraints
+            .iter()
+            .map(|(case, _)| unrun_result(op, *case, Verdict::Error, Some(error.clone())))
+            .collect();
+    }
+
     // Seed the per-worker deques round-robin so every worker starts with a
     // spread of case classes (heavy and light cases interleave).
     let queues: Vec<Mutex<std::collections::VecDeque<usize>>> = (0..workers)
@@ -380,9 +391,9 @@ pub(crate) fn schedule_cases(
                     let queue_latency = pool_start.elapsed();
                     let (case, constraint) = &constraints[idx];
                     let result = if cancel.is_canceled() {
-                        canceled_result(op, *case)
+                        unrun_result(op, *case, Verdict::Canceled, None)
                     } else {
-                        let r = run_case_traced(
+                        let r = run_case(
                             harness,
                             op,
                             *case,
@@ -436,13 +447,15 @@ fn next_job(
     None
 }
 
-fn canceled_result(op: FpuOp, case: CaseId) -> CaseResult {
+/// The result of a case no engine ran on: canceled, or rejected with
+/// `error`.
+fn unrun_result(op: FpuOp, case: CaseId, verdict: Verdict, error: Option<Error>) -> CaseResult {
     CaseResult {
         case,
         op,
-        verdict: Verdict::Canceled,
+        verdict,
         counterexample: None,
-        error: None,
+        error,
         attempts: Vec::new(),
         queue_latency: Duration::ZERO,
         stolen: false,
@@ -451,32 +464,9 @@ fn canceled_result(op: FpuOp, case: CaseId) -> CaseResult {
     }
 }
 
-/// Walks one case down an escalation ladder until a stage decides it.
-///
-/// This is the un-traced low-level primitive; the scheduler and
-/// [`crate::Session`] route through the traced variant, which brackets the
-/// ladder in a `case` span.
-pub fn run_case_ladder(
-    harness: &Harness,
-    op: FpuOp,
-    case: CaseId,
-    constraint_parts: &[Signal],
-    ladder: &[EngineStage],
-) -> CaseResult {
-    let tracer = Tracer::disabled();
-    run_case_traced(
-        harness,
-        op,
-        case,
-        constraint_parts,
-        ladder,
-        CaseCtx::standalone(&tracer, None),
-    )
-}
-
 /// Ambient context of one case dispatch: where telemetry goes, which proof
 /// cache (if any) to consult, and the scheduler provenance of the dispatch.
-pub(crate) struct CaseCtx<'a> {
+struct CaseCtx<'a> {
     /// Telemetry pipeline.
     pub tracer: &'a Tracer,
     /// Proof cache to consult before running engines.
@@ -489,25 +479,12 @@ pub(crate) struct CaseCtx<'a> {
     pub stolen: bool,
 }
 
-impl<'a> CaseCtx<'a> {
-    /// Context for a standalone (unscheduled) dispatch.
-    pub(crate) fn standalone(tracer: &'a Tracer, cache: Option<&'a ProofCache>) -> CaseCtx<'a> {
-        CaseCtx {
-            tracer,
-            cache,
-            parent: None,
-            queue_latency: Duration::ZERO,
-            stolen: false,
-        }
-    }
-}
-
 /// The traced per-case driver: opens a `case` span (parented to the run
 /// span via `ctx.parent`), consults the proof cache, and on a miss walks
 /// the ladder with one `stage` span per attempt, storing fresh definite
 /// verdicts back. The case span is annotated with verdict, deciding
 /// engine, cache status and scheduler telemetry.
-pub(crate) fn run_case_traced(
+fn run_case(
     harness: &Harness,
     op: FpuOp,
     case: CaseId,
@@ -706,20 +683,6 @@ fn decode_cex(harness: &Harness, assignment: HashMap<String, bool>) -> CounterEx
         rm: get_word("rm", 2) as u32,
         assignment,
         replay_confirmed,
-    }
-}
-
-impl CounterExample {
-    /// Renders the counterexample as a VCD waveform of every output and
-    /// probe of `netlist` (inputs held for `cycles` cycles — use the
-    /// pipeline latency + 1 for sequential implementations).
-    pub fn to_vcd(&self, netlist: &Netlist, cycles: usize) -> String {
-        let assignment: Vec<(String, bool)> = self
-            .assignment
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        fmaverify_netlist::dump_counterexample(netlist, &assignment, cycles)
     }
 }
 

@@ -8,6 +8,11 @@
 //! unrolled for the pipeline latency with the operands held — the analogue
 //! of the paper's driver issuing a single instruction into an empty FPU —
 //! and the cycle-`L` miter is checked by the same BDD/SAT engines.
+//!
+//! This is the one way a pipelined harness reaches an engine:
+//! [`crate::Session::run`], [`crate::run_campaign`] and [`unroll_harness`]
+//! all name the case constraints as probes (`probe_constraints`) and
+//! re-locate them in the unrolled netlist (`engine_view`).
 
 use fmaverify_fpu::{FpuOp, PipelineMode};
 use fmaverify_netlist::{unroll, InputMode, Netlist, Signal};
@@ -39,52 +44,85 @@ pub fn unroll_harness(
     op: FpuOp,
     cases: &[CaseId],
 ) -> (UnrolledHarness, Vec<(CaseId, Vec<Signal>)>) {
-    let latency = harness.options().pipeline.latency();
+    let pipeline = harness.options().pipeline;
     assert!(
-        harness.options().pipeline != PipelineMode::Combinational,
+        pipeline != PipelineMode::Combinational,
         "combinational harnesses need no unrolling"
     );
-    // Materialize the constraint parts as named probes so they survive the
-    // unroll (which rebuilds the netlist).
-    let mut probe_names: Vec<(CaseId, Vec<String>)> = Vec::new();
-    for &case in cases {
-        let parts = harness.case_constraint_parts(op, case);
-        let mut names = Vec::new();
-        for (i, p) in parts.iter().enumerate() {
-            let name = format!("seq.{op:?}.{}#{i}", case.label());
-            harness.netlist.probe(&name, *p);
-            names.push(name);
-        }
-        probe_names.push((case, names));
-    }
+    let probes = probe_constraints(harness, op, cases);
+    let (view, constraints) = engine_view(harness, harness.netlist.clone(), &probes);
+    (
+        UnrolledHarness {
+            netlist: view.netlist,
+            miter: view.miter,
+            latency: pipeline.latency(),
+        },
+        constraints,
+    )
+}
 
-    let unrolled = unroll(&harness.netlist, latency + 1, InputMode::HoldFirst);
-    let netlist = unrolled.netlist;
-    let miter = netlist
-        .find_output(&format!("miter@{latency}"))
-        .expect("unrolled miter output");
-    let constraints: Vec<(CaseId, Vec<Signal>)> = probe_names
-        .into_iter()
+/// Builds every case's constraint parts of `op` in the harness and names
+/// each part as a probe, returning the probe names per case. Rebuilding a
+/// netlist (unrolling, fault injection) renumbers nodes but keeps names,
+/// and probe names lie outside the cone hash, so proof-cache fingerprints
+/// do not see them.
+pub(crate) fn probe_constraints(
+    harness: &mut Harness,
+    op: FpuOp,
+    cases: &[CaseId],
+) -> Vec<(CaseId, Vec<String>)> {
+    cases
+        .iter()
+        .map(|&case| {
+            let parts = harness.case_constraint_parts(op, case);
+            let names = parts
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let name = format!("case.{op:?}.{}#{i}", case.label());
+                    harness.netlist.probe(&name, *p);
+                    name
+                })
+                .collect();
+            (case, names)
+        })
+        .collect()
+}
+
+/// The harness the engines check for `netlist` — `base`'s netlist or a
+/// rebuilt copy of it (e.g. a mutant): a pipelined netlist is unrolled to
+/// its latency with the inputs held, a combinational one passes through.
+/// The harness is rebound to the result and the constraint parts named by
+/// `probes` ([`probe_constraints`]) are re-located by name.
+pub(crate) fn engine_view(
+    base: &Harness,
+    netlist: Netlist,
+    probes: &[(CaseId, Vec<String>)],
+) -> (Harness, Vec<(CaseId, Vec<Signal>)>) {
+    let (netlist, miter_name, suffix) = match base.options().pipeline {
+        PipelineMode::Combinational => (netlist, "miter".to_string(), ""),
+        pipeline => {
+            let latency = pipeline.latency();
+            let unrolled = unroll(&netlist, latency + 1, InputMode::HoldFirst).netlist;
+            (unrolled, format!("miter@{latency}"), "@0")
+        }
+    };
+    let miter = netlist.find_output(&miter_name).expect("miter output");
+    let constraints = probes
+        .iter()
         .map(|(case, names)| {
             let parts = names
                 .iter()
                 .map(|n| {
                     netlist
-                        .find_probe(&format!("{n}@0"))
-                        .expect("unrolled constraint probe")
+                        .find_probe(&format!("{n}{suffix}"))
+                        .expect("constraint probe")
                 })
                 .collect();
-            (case, parts)
+            (*case, parts)
         })
         .collect();
-    (
-        UnrolledHarness {
-            netlist,
-            miter,
-            latency,
-        },
-        constraints,
-    )
+    (base.rebind(netlist, miter), constraints)
 }
 
 #[cfg(test)]

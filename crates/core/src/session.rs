@@ -39,7 +39,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fmaverify_fpu::{FpuConfig, FpuOp};
+use fmaverify_fpu::{FpuConfig, FpuOp, PipelineMode};
 use fmaverify_netlist::Signal;
 
 use crate::cache::{CacheStats, ProofCache};
@@ -48,9 +48,9 @@ use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness};
 use crate::json::JsonValue;
 use crate::runner::{
-    run_case_traced, schedule_cases, CancellationToken, CaseCtx, CaseResult, InstructionReport,
-    SchedulePolicy,
+    schedule_cases, CancellationToken, CaseResult, InstructionReport, SchedulePolicy,
 };
+use crate::sequential::{engine_view, probe_constraints};
 use crate::trace::{Counter, Span, SpanKind};
 
 /// A configured verification session: FPU configuration, run
@@ -58,9 +58,8 @@ use crate::trace::{Counter, Span, SpanKind};
 /// [`SchedulePolicy`] override.
 ///
 /// Construct with [`Session::new`], chain builder methods, then call one of
-/// the runners ([`Session::run`], [`Session::run_all`],
-/// [`Session::run_prepared`], [`Session::run_case`]). The session is
-/// reusable: every runner borrows `&self`, so one session can drive many
+/// the runners ([`Session::run`], [`Session::run_prepared`]). The session
+/// is reusable: every runner borrows `&self`, so one session can drive many
 /// instructions with identical settings.
 #[derive(Clone, Debug)]
 pub struct Session {
@@ -141,9 +140,12 @@ impl Session {
     ///
     /// Constraints for all cases are materialized in the shared netlist
     /// first; the per-case checks then run in parallel over the read-only
-    /// netlist. When a tracer is configured, the whole run is bracketed by a
-    /// `run` span with `op` children for harness construction and
-    /// constraint generation, and a totals event is emitted at the end.
+    /// netlist. A pipelined harness ([`crate::HarnessOptions::pipeline`])
+    /// is unrolled to its latency first, so the engines check the miter at
+    /// the result-valid cycle. When a tracer is configured, the whole run
+    /// is bracketed by a `run` span with `op` children for harness
+    /// construction, constraint generation and (pipelined only) unrolling,
+    /// and a totals event is emitted at the end.
     pub fn run(&self, op: FpuOp) -> InstructionReport {
         let start = Instant::now();
         let tracer = &self.config.tracer;
@@ -153,12 +155,21 @@ impl Session {
             build_harness(&self.cfg, self.config.harness.clone())
         };
         let cases = enumerate_cases(&self.cfg, op);
-        let constraints: Vec<(CaseId, Vec<Signal>)> = {
+        let (harness, constraints) = if self.config.harness.pipeline == PipelineMode::Combinational
+        {
             let _span = run_span.child(SpanKind::Op, || "constraints".into());
-            cases
+            let constraints: Vec<(CaseId, Vec<Signal>)> = cases
                 .iter()
                 .map(|&case| (case, harness.case_constraint_parts(op, case)))
-                .collect()
+                .collect();
+            (harness, constraints)
+        } else {
+            let probes = {
+                let _span = run_span.child(SpanKind::Op, || "constraints".into());
+                probe_constraints(&mut harness, op, &cases)
+            };
+            let _span = run_span.child(SpanKind::Op, || "unroll".into());
+            engine_view(&harness, harness.netlist.clone(), &probes)
         };
         let cache_before = self.cache.as_ref().map(|c| c.stats());
         let results = schedule_cases(
@@ -189,16 +200,15 @@ impl Session {
         }
     }
 
-    /// Verifies several instructions back to back, reusing the session's
-    /// settings (each instruction still builds its own harness).
-    pub fn run_all(&self, ops: &[FpuOp]) -> Vec<InstructionReport> {
-        ops.iter().map(|&op| self.run(op)).collect()
-    }
-
     /// Runs pre-built `(case, constraint)` pairs on the work-stealing pool
     /// — for callers that build or modify the harness themselves (fault
     /// injection, custom case splits). The run gets its own `run` span and
     /// end-of-run totals event.
+    ///
+    /// The harness must be combinational: unroll a pipelined one first
+    /// ([`crate::unroll_harness`], then [`Harness::rebind`]). Every case of
+    /// a netlist that still has registers gets [`crate::Verdict::Error`]
+    /// with [`crate::Error::SequentialNetlist`].
     pub fn run_prepared(
         &self,
         harness: &Harness,
@@ -250,29 +260,6 @@ impl Session {
         }
         self.config.tracer.emit_totals();
         self.config.tracer.flush();
-    }
-
-    /// Runs one case down its escalation ladder on the calling thread.
-    pub fn run_case(
-        &self,
-        harness: &Harness,
-        op: FpuOp,
-        case: CaseId,
-        constraint_parts: &[Signal],
-    ) -> CaseResult {
-        let policy = self.effective_policy();
-        let result = run_case_traced(
-            harness,
-            op,
-            case,
-            constraint_parts,
-            policy.ladder(op, case),
-            CaseCtx::standalone(&self.config.tracer, self.cache.as_deref()),
-        );
-        if let Some(cache) = &self.cache {
-            cache.flush();
-        }
-        result
     }
 }
 

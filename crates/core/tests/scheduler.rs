@@ -6,11 +6,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fmaverify::{
-    build_harness, enumerate_cases, run_case_ladder, BddCaseEngine, CancellationToken, CaseEngine,
-    CaseId, EngineBudget, EngineKind, EngineOutcome, EngineStage, EngineStats, EngineVerdict,
-    Error, HarnessOptions, RunConfig, SatCaseEngine, SchedulePolicy, Session, Verdict,
+    build_harness, enumerate_cases, BddCaseEngine, CancellationToken, CaseEngine, CaseId,
+    CaseResult, EngineBudget, EngineKind, EngineOutcome, EngineStage, EngineStats, EngineVerdict,
+    Error, Harness, HarnessOptions, RunConfig, SatCaseEngine, SchedulePolicy, Session, Verdict,
 };
-use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
+use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
 use fmaverify_netlist::Signal;
 use fmaverify_softfloat::FpFormat;
 
@@ -28,6 +28,24 @@ fn unlimited(engine: Arc<dyn CaseEngine>) -> EngineStage {
     }
 }
 
+/// Runs one case through the scheduler with `ladder` for every case class.
+fn run_ladder(
+    h: &Harness,
+    op: FpuOp,
+    case: CaseId,
+    parts: &[Signal],
+    ladder: Vec<EngineStage>,
+) -> CaseResult {
+    let policy = SchedulePolicy {
+        overlap: ladder.clone(),
+        farout: ladder,
+    };
+    Session::new(&h.cfg)
+        .policy(policy)
+        .run_prepared(h, op, &[(case, parts.to_vec())])
+        .remove(0)
+}
+
 #[test]
 fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
     let cfg = tiny();
@@ -36,19 +54,19 @@ fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
     let case = CaseId::OverlapNoCancel { delta: 1 };
     let parts = h.case_constraint_parts(op, case);
 
-    let by_bdd = run_case_ladder(
+    let by_bdd = run_ladder(
         &h,
         op,
         case,
         &parts,
-        &[unlimited(Arc::new(BddCaseEngine::default()))],
+        vec![unlimited(Arc::new(BddCaseEngine::default()))],
     );
-    let by_sat = run_case_ladder(
+    let by_sat = run_ladder(
         &h,
         op,
         case,
         &parts,
-        &[unlimited(Arc::new(SatCaseEngine { sweep_first: false }))],
+        vec![unlimited(Arc::new(SatCaseEngine { sweep_first: false }))],
     );
     assert_eq!(by_bdd.verdict, by_sat.verdict, "engines disagree");
     assert_eq!(by_bdd.verdict, Verdict::Holds);
@@ -266,12 +284,12 @@ fn errors_escalate_to_the_next_rung() {
     let parts = h.case_constraint_parts(op, case);
 
     // Panicking rung followed by a real engine: the case still proves.
-    let result = run_case_ladder(
+    let result = run_ladder(
         &h,
         op,
         case,
         &parts,
-        &[
+        vec![
             unlimited(Arc::new(Panics)),
             unlimited(Arc::new(SatCaseEngine { sweep_first: true })),
         ],
@@ -281,7 +299,7 @@ fn errors_escalate_to_the_next_rung() {
     assert_eq!(result.attempts[0].verdict, Verdict::Error);
 
     // Panicking rung alone: the error is surfaced, not swallowed.
-    let result = run_case_ladder(&h, op, case, &parts, &[unlimited(Arc::new(Panics))]);
+    let result = run_ladder(&h, op, case, &parts, vec![unlimited(Arc::new(Panics))]);
     assert_eq!(result.verdict, Verdict::Error);
     match result.error.as_ref().expect("typed error") {
         Error::EnginePanic { engine, message } => {
@@ -293,4 +311,59 @@ fn errors_escalate_to_the_next_rung() {
     // The ladder folds the panic into one error attempt with zero stats.
     assert_eq!(result.attempts.len(), 1);
     assert_eq!(result.attempts[0].verdict, Verdict::Error);
+}
+
+fn pipelined(isolate_multiplier: bool) -> HarnessOptions {
+    HarnessOptions {
+        pipeline: PipelineMode::ThreeStage,
+        isolate_multiplier,
+        ..HarnessOptions::default()
+    }
+}
+
+#[test]
+fn session_verifies_the_pipelined_fpu() {
+    let cfg = tiny();
+    for isolate_multiplier in [true, false] {
+        let session = Session::new(&cfg).configure(RunConfig {
+            harness: pipelined(isolate_multiplier),
+            ..RunConfig::default()
+        });
+        for op in [FpuOp::Fma, FpuOp::Add, FpuOp::Mul] {
+            let report = session.run(op);
+            let failing: Vec<_> = report
+                .results
+                .iter()
+                .filter(|r| !r.holds())
+                .map(|r| (r.case, r.verdict))
+                .collect();
+            assert!(
+                failing.is_empty(),
+                "{op:?} (isolate_multiplier: {isolate_multiplier}): {failing:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn run_prepared_rejects_a_harness_with_registers() {
+    let cfg = tiny();
+    let op = FpuOp::Fma;
+    let mut h = build_harness(&cfg, pipelined(true));
+    let latches = h.netlist.num_latches();
+    assert!(latches > 0);
+    let constraints: Vec<(CaseId, Vec<Signal>)> = enumerate_cases(&cfg, op)
+        .into_iter()
+        .map(|case| {
+            let parts = h.case_constraint_parts(op, case);
+            (case, parts)
+        })
+        .collect();
+    let results = Session::new(&cfg).run_prepared(&h, op, &constraints);
+    assert_eq!(results.len(), constraints.len());
+    for r in &results {
+        assert_eq!(r.verdict, Verdict::Error, "{:?}", r.case);
+        assert_eq!(r.error, Some(Error::SequentialNetlist { latches }));
+        assert!(r.attempts.is_empty(), "no engine may run");
+    }
 }

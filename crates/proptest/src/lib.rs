@@ -339,7 +339,7 @@ pub mod prop {
         use rand::Rng;
         use std::ops::{Range, RangeInclusive};
 
-        /// Acceptable length specifications for [`vec`].
+        /// Acceptable length specifications for [`vec()`].
         #[derive(Clone, Debug)]
         pub struct SizeRange {
             lo: usize,
