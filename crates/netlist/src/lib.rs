@@ -13,7 +13,9 @@
 //! * [`BitSim`]/[`ParallelSim`] — sequential and 64-way bit-parallel
 //!   simulation;
 //! * [`unroll`] — bounded unfolding into combinational logic for SAT;
-//! * [`SatEncoder`] — Tseitin encoding of cones of influence;
+//! * [`SatEncoder`]/[`encode_to_cnf`] — gate-aware Tseitin encoding of
+//!   cones of influence (one variable per XOR or MUX structure), into a
+//!   solver or a DIMACS-ready CNF;
 //! * [`sat_sweep`] — simulation-guided SAT sweeping, the paper's "automated
 //!   redundancy removal algorithms \[15\]";
 //! * [`Sha256`] and [`Netlist::coi_hash`] — dependency-free digests and

@@ -1,7 +1,8 @@
 //! Hardening property tests on random netlists: SAT sweeping, Tseitin
 //! encoding, unrolling, and AIGER round-trips must all preserve the
 //! function of arbitrarily-shaped AIGs (checked exhaustively against
-//! simulation for small input counts).
+//! simulation for small input counts), and every node the Tseitin encoder
+//! gives a variable must take its simulated value in every model.
 
 use fmaverify_netlist::{
     parse_aiger, sat_sweep, unroll, write_aiger, BitSim, InputMode, Netlist, SatEncoder, Signal,
@@ -139,6 +140,43 @@ proptest! {
                 SolveResult::Unsat,
                 "output y{} must equal its simulated value", k
             );
+        }
+    }
+
+    #[test]
+    fn encoded_nodes_agree_with_simulation_of_the_model(
+        recipes in arb_netlist(NUM_INPUTS, 40),
+        picks in prop::collection::vec((0usize..1 << 16, prop::bool::ANY), 1..5),
+    ) {
+        let (n, _) = build(&recipes, NUM_INPUTS);
+        let nodes: Vec<Signal> = n.node_ids().map(|id| n.signal(id)).collect();
+        // Assume random values of random nodes, so that some nodes absorbed
+        // into an XOR or MUX are requested after their reader.
+        let mut solver = Solver::new();
+        let mut enc = SatEncoder::new();
+        let assumptions: Vec<_> = picks
+            .iter()
+            .map(|&(k, v)| {
+                let l = enc.lit(&n, &mut solver, nodes[k % nodes.len()]);
+                if v { l } else { !l }
+            })
+            .collect();
+        prop_assume!(solver.solve_with_assumptions(&assumptions) == SolveResult::Sat);
+        let mut sim = BitSim::new(&n);
+        for &id in n.inputs() {
+            let s = n.signal(id);
+            let v = enc.existing_lit(s).is_some_and(|l| solver.model_lit_value(l).is_true());
+            sim.set(s, v);
+        }
+        sim.eval();
+        for &s in &nodes {
+            if let Some(l) = enc.existing_lit(s) {
+                prop_assert_eq!(
+                    solver.model_lit_value(l).is_true(),
+                    sim.get(s),
+                    "node {:?}", s
+                );
+            }
         }
     }
 

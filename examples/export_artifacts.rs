@@ -54,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. DIMACS: one verification case as a CNF an external solver can
-    //    refute (UNSAT == the case holds).
+    //    refute (UNSAT == the case holds). It is the encoding the SAT
+    //    engine solves, with the primary inputs as variables 1..n.
     let case = CaseId::OverlapNoCancel { delta: 2 };
     let mut roots = harness.case_constraint_parts(FpuOp::Fma, case);
     roots.push(harness.miter);
