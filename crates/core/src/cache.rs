@@ -9,10 +9,11 @@
 //! * A [`Fingerprint`] is a 256-bit content address: SHA-256 over the
 //!   canonical structural hash of the miter-plus-constraint cone of
 //!   influence ([`fmaverify_netlist::Netlist::coi_hash`]), the case and
-//!   instruction, the escalation ladder (engine names and budgets), and the
-//!   cache schema version. Any change to the design, the constraints, or
-//!   the policy changes the fingerprint — invalidation is automatic and
-//!   there is no staleness to manage.
+//!   instruction, the escalation ladder (engine names and budgets), the
+//!   cache schema version and the engine revision. Any change to the
+//!   design, the constraints, the policy or the engines' effort changes the
+//!   fingerprint — invalidation is automatic and there is no staleness to
+//!   manage.
 //! * A [`ProofCache`] holds fingerprint → [`CachedCase`] entries, persisted
 //!   as JSONL shards under a cache directory (`results/cache/` by
 //!   convention, sharded by the first fingerprint byte). Writes go through
@@ -51,6 +52,18 @@ use crate::trace::MetricSet;
 /// Version 2 dropped the entry-level `verdict`, `engine`, `engine_name`
 /// and `stats` copies: they are read from the last attempt.
 pub const CACHE_SCHEMA_VERSION: u32 = 2;
+
+/// Revision of the proof engines; folded into every [`Fingerprint`] next to
+/// [`CACHE_SCHEMA_VERSION`].
+///
+/// An entry replays its attempts' effort stats (peak BDD nodes, ITE-driven
+/// wall times, SAT conflicts), so an engine change that moves effort for
+/// the same proof bumps this: a warm run then re-proves rather than report
+/// the old engine's effort.
+///
+/// Revision 1: BDD symbolic simulation evaluates each XOR and MUX structure
+/// of the AIG as one ITE.
+pub const ENGINE_REVISION: u32 = 1;
 
 /// How a run uses the proof cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -101,6 +114,18 @@ impl Fingerprint {
         constraint_parts: &[Signal],
         ladder: &[EngineStage],
     ) -> Fingerprint {
+        Fingerprint::at_revision(ENGINE_REVISION, harness, op, case, constraint_parts, ladder)
+    }
+
+    /// [`Fingerprint::compute`] under engine revision `revision`.
+    fn at_revision(
+        revision: u32,
+        harness: &Harness,
+        op: FpuOp,
+        case: CaseId,
+        constraint_parts: &[Signal],
+        ladder: &[EngineStage],
+    ) -> Fingerprint {
         let mut roots = Vec::with_capacity(constraint_parts.len() + 1);
         roots.push(harness.miter);
         roots.extend_from_slice(constraint_parts);
@@ -109,6 +134,7 @@ impl Fingerprint {
         let mut h = Sha256::new();
         h.update_bytes(b"fmaverify-case-v1");
         h.update_u64(u64::from(CACHE_SCHEMA_VERSION));
+        h.update_u64(u64::from(revision));
         h.update(&cone);
         h.update_bytes(format!("{op:?}").as_bytes());
         h.update_bytes(format!("{case:?}").as_bytes());
@@ -508,6 +534,31 @@ mod tests {
             }],
             duration: Duration::from_millis(wall_ms),
         }
+    }
+
+    #[test]
+    fn engine_revision_changes_the_fingerprint() {
+        use crate::config::RunConfig;
+        use crate::harness::{build_harness, HarnessOptions};
+        use crate::runner::SchedulePolicy;
+        use fmaverify_fpu::{DenormalMode, FpuConfig};
+        use fmaverify_softfloat::FpFormat;
+
+        let cfg = FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        };
+        let (op, case) = (FpuOp::Mul, CaseId::Monolithic);
+        let mut h = build_harness(&cfg, HarnessOptions::default());
+        let parts = h.case_constraint_parts(op, case);
+        let policy = SchedulePolicy::from_config(&RunConfig::default());
+        let ladder = policy.ladder(op, case);
+        let at = |rev| Fingerprint::at_revision(rev, &h, op, case, &parts, ladder);
+        assert_eq!(
+            Fingerprint::compute(&h, op, case, &parts, ladder),
+            at(ENGINE_REVISION)
+        );
+        assert_ne!(at(ENGINE_REVISION), at(ENGINE_REVISION + 1));
     }
 
     #[test]

@@ -13,14 +13,24 @@
 //! cycle, and the miter is examined at the result-valid cycle. A
 //! combinational check is the same simulation at cycle 0.
 //!
+//! The simulation is gate-aware. Before each pass it plans the cone from
+//! the roots down: an AND node that heads an XOR or MUX structure of the
+//! AIG ([`Gate::recognize`]), whose two inner ANDs are read by nothing else
+//! in the cone, is evaluated as one `xor` or `ite` over the grandchildren,
+//! and the inner ANDs get no BDD at all. The AND-by-AND simulation spent
+//! three ITE recursions and two throw-away intermediate BDDs on each.
+//! Roots are never absorbed, and every evaluated node still gets the BDD of
+//! its own function.
+//!
 //! * [`Minimize::Constrain`] — the Coudert–Madre generalized cofactor.
 //!   Because `constrain` distributes over gates, applying it at the inputs
 //!   minimizes every intermediate node implicitly; this is how "the `C_sha`
 //!   constraint alone suffices to bound BDD size both for the reference and
-//!   real FPU computations".
-//! * [`Minimize::Restrict`] — sibling substitution at every gate (agreement
-//!   on the care set composes gate-wise even though restrict does not
-//!   distribute).
+//!   real FPU computations". Each evaluated node gets the same canonical
+//!   BDD however its cone is grouped into gates.
+//! * [`Minimize::Restrict`] — sibling substitution at every evaluated gate
+//!   (an XOR or MUX structure is one gate; agreement on the care set
+//!   composes gate-wise even though restrict does not distribute).
 //! * [`Minimize::None`] — no minimization; the constraint is conjoined only
 //!   at the end (the expensive strawman of the paper's ablation).
 
@@ -28,7 +38,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use fmaverify_bdd::{Bdd, BddManager, BddVar};
-use fmaverify_netlist::{Netlist, Node, Signal};
+use fmaverify_netlist::{Gate, Netlist, Node, NodeId, Signal};
 
 /// Care-set minimization strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -262,6 +272,9 @@ impl<'a> Simulation<'a> {
     /// minimized against the care set. Returns the node values, the roots'
     /// among them, or `None` when the node limit aborts the run.
     ///
+    /// AND nodes are evaluated as [`plan`] says: an XOR or MUX structure
+    /// costs one ITE, and the two ANDs it absorbs get no value.
+    ///
     /// With `collect` (the register and miter passes) an operand is released
     /// after its last use and the arena is collected under the dead-fraction
     /// trigger, the node limit checked after each collection. Without it
@@ -270,6 +283,7 @@ impl<'a> Simulation<'a> {
     fn eval(&mut self, roots: &[Signal], state: &[Bdd], collect: bool) -> Option<Vec<Option<Bdd>>> {
         let netlist = self.netlist;
         let cone = netlist.comb_cone(roots);
+        let plan = plan(netlist, &cone, roots);
         let mut values: Vec<Option<Bdd>> = vec![None; netlist.num_nodes()];
         for (&l, &s) in netlist.latches().iter().zip(state) {
             if cone[l.index()] {
@@ -277,16 +291,14 @@ impl<'a> Simulation<'a> {
             }
         }
         // Remaining-use counts for value liveness (so GC can free dead
-        // nodes); the roots keep one use each to the end.
+        // nodes), over the planned gates' fanins; the roots keep one use
+        // each to the end.
         let mut uses: Vec<u32> = Vec::new();
         if collect {
             uses = vec![0; netlist.num_nodes()];
-            for id in netlist.node_ids() {
-                if cone[id.index()] {
-                    if let Node::And(a, b) = netlist.node(id) {
-                        uses[a.node().index()] += 1;
-                        uses[b.node().index()] += 1;
-                    }
+            for gate in plan.iter().flatten() {
+                for f in gate.fanins() {
+                    uses[f.node().index()] += 1;
                 }
             }
             for r in roots {
@@ -300,22 +312,28 @@ impl<'a> Simulation<'a> {
             if !collect && self.over_limit() {
                 return None;
             }
+            let gate = plan[id.index()];
             let v = match netlist.node(id) {
                 Node::Const => Bdd::FALSE,
-                Node::Input { .. } => {
-                    let var = self.var_of_node[id.index()].expect("every input has a variable");
-                    let raw = self.mgr.var_bdd(var);
-                    match self.opts.minimize {
-                        Minimize::Constrain => self.mgr.constrain(raw, self.care),
-                        Minimize::Restrict => self.mgr.restrict(raw, self.care),
-                        Minimize::None => raw,
-                    }
-                }
+                Node::Input { .. } => self.input_value(id),
                 Node::Latch { .. } => values[id.index()].expect("register state seeded"),
-                Node::And(a, b) => {
-                    let g = self.mgr.and(edge(&values, *a), edge(&values, *b));
-                    // Constrain distributes: the children are already
-                    // minimized, so the plain AND *is* the constrained
+                Node::And(..) => {
+                    // An AND without a plan is absorbed: its reader's
+                    // structure reads past it.
+                    let Some(gate) = gate else {
+                        continue;
+                    };
+                    let g = match gate {
+                        Gate::And([a, b]) => self.mgr.and(edge(&values, a), edge(&values, b)),
+                        Gate::Xor([a, b]) => self.mgr.xor(edge(&values, a), edge(&values, b)),
+                        // `¬ITE(s, t, e) = ITE(s, ¬t, ¬e)`.
+                        Gate::Mux([s, t, e]) => {
+                            self.mgr
+                                .ite(edge(&values, s), edge(&values, !t), edge(&values, !e))
+                        }
+                    };
+                    // Constrain distributes: the fanins are already
+                    // minimized, so the plain gate *is* the constrained
                     // function.
                     if self.opts.minimize == Minimize::Restrict {
                         self.mgr.restrict(g, self.care)
@@ -328,12 +346,11 @@ impl<'a> Simulation<'a> {
             if !collect {
                 continue;
             }
-            if let Node::And(a, b) = netlist.node(id) {
-                for child in [a.node(), b.node()] {
-                    uses[child.index()] -= 1;
-                    if uses[child.index()] == 0 {
-                        values[child.index()] = None;
-                    }
+            for f in gate.iter().flat_map(Gate::fanins) {
+                let child = f.node().index();
+                uses[child] -= 1;
+                if uses[child] == 0 {
+                    values[child] = None;
                 }
             }
             if self.mgr.stats().allocated > self.next_gc {
@@ -344,6 +361,17 @@ impl<'a> Simulation<'a> {
             }
         }
         Some(values)
+    }
+
+    /// The variable of input `id`, minimized against the care set.
+    fn input_value(&mut self, id: NodeId) -> Bdd {
+        let var = self.var_of_node[id.index()].expect("every input has a variable");
+        let raw = self.mgr.var_bdd(var);
+        match self.opts.minimize {
+            Minimize::Constrain => self.mgr.constrain(raw, self.care),
+            Minimize::Restrict => self.mgr.restrict(raw, self.care),
+            Minimize::None => raw,
+        }
     }
 
     /// Collects everything but `values` and the care set, and re-arms the
@@ -403,6 +431,47 @@ impl<'a> Simulation<'a> {
             ..self.outcome(false, self.mgr.stats().allocated, care_nodes)
         }
     }
+}
+
+/// Plans the evaluation of the cone of `roots` (`cone`, by node index): the
+/// gate each evaluated AND node computes, and `None` for the AND nodes
+/// absorbed into their reader's XOR or MUX structure (never evaluated) and
+/// for every node that is not an AND.
+///
+/// Fanout counts the AND readers inside the cone plus one per root. Visiting
+/// the nodes from the outputs down, an AND node that is not absorbed takes
+/// a structure ([`Gate::recognize`]) whose two inner ANDs have fanout 1;
+/// they are then absorbed. Roots are never absorbed, so every root gets a
+/// value, and each evaluated node gets the function of the node itself.
+fn plan(netlist: &Netlist, cone: &[bool], roots: &[Signal]) -> Vec<Option<Gate>> {
+    let mut fanout = vec![0u32; netlist.num_nodes()];
+    for r in roots {
+        fanout[r.node().index()] += 1;
+    }
+    let cone_ands = || {
+        netlist.node_ids().filter_map(|id| match netlist.node(id) {
+            Node::And(a, b) if cone[id.index()] => Some((id, *a, *b)),
+            _ => None,
+        })
+    };
+    for (_, a, b) in cone_ands() {
+        fanout[a.node().index()] += 1;
+        fanout[b.node().index()] += 1;
+    }
+    let mut plan = vec![None; netlist.num_nodes()];
+    let mut absorbed = vec![false; netlist.num_nodes()];
+    for (id, a, b) in cone_ands().rev() {
+        if absorbed[id.index()] {
+            continue;
+        }
+        let gate = Gate::recognize(netlist, a, b, |p| fanout[p.index()] == 1);
+        if !matches!(gate, Gate::And(_)) {
+            absorbed[a.node().index()] = true;
+            absorbed[b.node().index()] = true;
+        }
+        plan[id.index()] = Some(gate);
+    }
+    plan
 }
 
 #[inline]
@@ -481,6 +550,251 @@ mod tests {
         sim.eval();
         assert!(sim.get(miter), "cex must trigger the miter");
         assert!(sim.get(care), "cex must lie in the care set");
+    }
+
+    /// A simulation of `n` under `opts` whose care set is `care`.
+    fn simulation<'a>(n: &'a Netlist, opts: &'a BddEngineOptions, care: Signal) -> Simulation<'a> {
+        let mut sim = Simulation::new(n, opts);
+        let values = sim.eval(&[care], &[], false).expect("no node limit");
+        sim.care = edge(&values, care);
+        sim
+    }
+
+    /// The roots' values from the engine's planned evaluation, checking
+    /// that the pass released every other value after its last use.
+    fn eval_planned(sim: &mut Simulation, roots: &[Signal]) -> Vec<Bdd> {
+        let values = sim.eval(roots, &[], true).expect("no node limit");
+        for (i, v) in values.iter().enumerate() {
+            let is_root = roots.iter().any(|r| r.node().index() == i);
+            assert!(v.is_none() || is_root, "node {i} is still live");
+        }
+        roots.iter().map(|&r| edge(&values, r)).collect()
+    }
+
+    /// The roots' values from evaluating their cone one AND at a time, the
+    /// reference for the planned evaluation under `Constrain` and `None`
+    /// (combinational netlists only).
+    fn eval_and_by_and(sim: &mut Simulation, roots: &[Signal]) -> Vec<Bdd> {
+        let n = sim.netlist;
+        let cone = n.comb_cone(roots);
+        let mut values = vec![None; n.num_nodes()];
+        for id in n.node_ids().filter(|id| cone[id.index()]) {
+            values[id.index()] = Some(match n.node(id) {
+                Node::Const => Bdd::FALSE,
+                Node::Input { .. } => sim.input_value(id),
+                Node::And(a, b) => sim.mgr.and(edge(&values, *a), edge(&values, *b)),
+                Node::Latch { .. } => unreachable!("combinational netlists only"),
+            });
+        }
+        roots.iter().map(|&r| edge(&values, r)).collect()
+    }
+
+    /// The planned gate of the AND node behind `sig` when `roots` are
+    /// evaluated.
+    fn planned_gate(n: &Netlist, roots: &[Signal], sig: Signal) -> Option<Gate> {
+        plan(n, &n.comb_cone(roots), roots)[sig.node().index()]
+    }
+
+    /// Under both canonical modes and the care set `care`, the planned
+    /// evaluation of `roots` gives the AND-by-AND edges.
+    fn assert_matches_and_by_and(n: &Netlist, roots: &[Signal], care: Signal) {
+        for minimize in [Minimize::Constrain, Minimize::None] {
+            let opts = BddEngineOptions {
+                minimize,
+                ..BddEngineOptions::default()
+            };
+            let mut sim = simulation(n, &opts, care);
+            let expected = eval_and_by_and(&mut sim, roots);
+            assert_eq!(eval_planned(&mut sim, roots), expected, "{minimize:?}");
+        }
+    }
+
+    /// The fanins of the AND node behind `sig`.
+    fn and_fanins(n: &Netlist, sig: Signal) -> [Signal; 2] {
+        match n.node(sig.node()) {
+            Node::And(a, b) => [*a, *b],
+            other => panic!("{sig:?} is not an AND: {other:?}"),
+        }
+    }
+
+    /// `x ∨ (y ∧ z)`: a care set that depends on all three inputs.
+    fn care_over(n: &mut Netlist, [x, y, z]: [Signal; 3]) -> Signal {
+        let yz = n.and(y, z);
+        n.or(x, yz)
+    }
+
+    #[test]
+    fn xor_and_xnor_evaluate_as_one_gate() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let x = n.xor(a, b);
+        let xn = n.xnor(a, b);
+        // XNOR written as an OR of the two agreeing minterms.
+        let both = n.and(a, b);
+        let neither = n.and(!a, !b);
+        let eq = n.or(both, neither);
+        let care = care_over(&mut n, [a, b, c]);
+        for root in [x, xn, eq] {
+            assert!(
+                matches!(planned_gate(&n, &[root], root), Some(Gate::Xor(_))),
+                "{root:?}"
+            );
+            assert_matches_and_by_and(&n, &[root], care);
+        }
+    }
+
+    #[test]
+    fn mux_evaluates_as_one_gate_for_every_selector_placement() {
+        let mut placements = std::collections::HashSet::new();
+        let names = ["s", "t", "e"];
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let mut n = Netlist::new();
+            let mut sigs = [Signal::FALSE; 3];
+            for k in order {
+                sigs[k] = n.input(names[k]);
+            }
+            let [s, t, e] = sigs;
+            let m = n.mux(s, t, e);
+            // `p` reads the selector, `q` its complement; record where.
+            let ands = and_fanins(&n, m);
+            let (p, q) = if and_fanins(&n, ands[0]).contains(&s) {
+                (ands[0], ands[1])
+            } else {
+                (ands[1], ands[0])
+            };
+            let sel_first = |g: Signal| and_fanins(&n, g)[0].node() == s.node();
+            placements.insert((sel_first(p), sel_first(q)));
+            let care = care_over(&mut n, sigs);
+            assert_eq!(
+                planned_gate(&n, &[m], m),
+                Some(Gate::Mux([s, t, e])),
+                "order {order:?}"
+            );
+            assert_matches_and_by_and(&n, &[m], care);
+        }
+        assert_eq!(placements.len(), 4, "selector first/second in either AND");
+    }
+
+    #[test]
+    fn shared_intermediates_fall_back_to_ands() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let x = n.xor(a, b);
+        let [p, _] = and_fanins(&n, x);
+        let second_reader = n.and(!p, c);
+        let care = care_over(&mut n, [a, b, c]);
+        // A second reader outside the cone does not block the structure.
+        assert!(matches!(planned_gate(&n, &[x], x), Some(Gate::Xor(_))));
+        // Inside the cone it does, and so does `p` being a root itself.
+        for roots in [[x, second_reader], [x, p]] {
+            assert!(matches!(planned_gate(&n, &roots, x), Some(Gate::And(_))));
+            assert_matches_and_by_and(&n, &roots, care);
+        }
+    }
+
+    #[test]
+    fn structures_save_ite_calls_on_the_adder_miter() {
+        let (n, miter, care) = adder_pair(false);
+        let opts = BddEngineOptions::default();
+        let mut ites = Vec::new();
+        for planned in [true, false] {
+            let mut sim = simulation(&n, &opts, care);
+            let before = sim.mgr.stats().ite_calls;
+            if planned {
+                eval_planned(&mut sim, &[miter]);
+            } else {
+                eval_and_by_and(&mut sim, &[miter]);
+            }
+            ites.push(sim.mgr.stats().ite_calls - before);
+        }
+        assert!(
+            ites[0] < ites[1],
+            "planned {} vs AND-by-AND {}",
+            ites[0],
+            ites[1]
+        );
+    }
+
+    /// A random netlist over `INPUTS` inputs: each recipe `(kind, a, b, c)`
+    /// adds an AND, OR, XOR or MUX over earlier signals (indices wrap,
+    /// odd indices are complemented).
+    fn random_netlist(recipes: &[(u8, usize, usize, usize)]) -> (Netlist, Vec<Signal>) {
+        let mut n = Netlist::new();
+        let mut pool: Vec<Signal> = (0..INPUTS).map(|i| n.input(format!("x{i}"))).collect();
+        for &(kind, a, b, c) in recipes {
+            let [a, b, c] = [a, b, c].map(|k| {
+                let s = pool[k / 2 % pool.len()];
+                if k % 2 == 1 {
+                    !s
+                } else {
+                    s
+                }
+            });
+            let g = match kind {
+                0 => n.and(a, b),
+                1 => n.or(a, b),
+                2 => n.xor(a, b),
+                _ => n.mux(a, b, c),
+            };
+            pool.push(g);
+        }
+        (n, pool)
+    }
+
+    const INPUTS: usize = 6;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On random netlists the planned evaluation gives every root the
+        /// AND-by-AND edge, every minimization mode reaches the same
+        /// verdict, and each counterexample replays in simulation.
+        #[test]
+        fn planned_evaluation_agrees_on_random_netlists(
+            recipes in proptest::prop::collection::vec((0u8..4, 0usize..128, 0usize..128, 0usize..128), 40),
+        ) {
+            let (n, pool) = random_netlist(&recipes);
+            let roots: Vec<Signal> = pool.iter().rev().take(4).copied().collect();
+            let (miter, care) = (roots[0], roots[1]);
+            // The reference verdict: does `miter ∧ care` have a model?
+            let opts = BddEngineOptions::default();
+            let mut sim = Simulation::new(&n, &opts);
+            let [m, c] = eval_and_by_and(&mut sim, &[miter, care])[..] else {
+                unreachable!("two roots")
+            };
+            let holds = sim.mgr.and(m, c).is_false();
+            // `constrain` needs a non-empty care set.
+            assert_matches_and_by_and(&n, &roots, if c.is_false() { Signal::TRUE } else { care });
+            let mut verdicts = Vec::new();
+            for minimize in [Minimize::Constrain, Minimize::Restrict, Minimize::None] {
+                let opts = BddEngineOptions {
+                    minimize,
+                    ..BddEngineOptions::default()
+                };
+                let out = check_miter_bdd_parts(&n, miter, &[care], &opts);
+                verdicts.push(out.holds);
+                if let Some(cex) = out.counterexample {
+                    let mut sim = fmaverify_netlist::BitSim::new(&n);
+                    for (name, val) in &cex {
+                        sim.set(n.find_input(name).expect("input"), *val);
+                    }
+                    sim.eval();
+                    proptest::prop_assert!(sim.get(miter) && sim.get(care), "{minimize:?}");
+                }
+            }
+            proptest::prop_assert_eq!(verdicts, vec![holds; 3]);
+        }
     }
 
     #[test]

@@ -111,7 +111,10 @@ pub mod trace;
 pub use fmaverify_fpu::{DenormalMode, FpuConfig, FpuInputs, FpuOp, MultiplierMode, PipelineMode};
 pub use fmaverify_softfloat::{FpFormat, RoundingMode};
 
-pub use cache::{CacheMode, CacheStats, CachedCase, Fingerprint, ProofCache, CACHE_SCHEMA_VERSION};
+pub use cache::{
+    CacheMode, CacheStats, CachedCase, Fingerprint, ProofCache, CACHE_SCHEMA_VERSION,
+    ENGINE_REVISION,
+};
 pub use campaign::{run_campaign, CampaignReport, MutantOutcome, MutantStatus};
 pub use cases::{cancellation_deltas, enumerate_cases, CaseClass, CaseId, ShaCase};
 pub use cec::{check_equivalence, import_netlist, CecResult};

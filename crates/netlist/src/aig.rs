@@ -452,7 +452,7 @@ impl Netlist {
     }
 
     /// Iterates node ids in topological order (which is creation order).
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 

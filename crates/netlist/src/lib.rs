@@ -13,6 +13,8 @@
 //! * [`BitSim`]/[`ParallelSim`] — sequential and 64-way bit-parallel
 //!   simulation;
 //! * [`unroll`] — bounded unfolding into combinational logic for SAT;
+//! * [`Gate`] — recognition of the AIG's XOR and MUX structures, shared by
+//!   the gate-aware engines;
 //! * [`SatEncoder`]/[`encode_to_cnf`] — gate-aware Tseitin encoding of
 //!   cones of influence (one variable per XOR or MUX structure), into a
 //!   solver or a DIMACS-ready CNF;
@@ -43,6 +45,7 @@
 
 mod aig;
 mod aiger;
+mod gate;
 mod hash;
 mod sim;
 mod sweep;
@@ -54,6 +57,7 @@ mod word;
 
 pub use aig::{Netlist, Node, NodeId, Signal};
 pub use aiger::{parse_aiger, write_aiger, ParseAigerError};
+pub use gate::Gate;
 pub use hash::Sha256;
 pub use sim::{BitSim, ParallelSim};
 pub use sweep::{prove_equal, sat_sweep, SweepOptions, SweepResult};

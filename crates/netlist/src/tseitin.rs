@@ -14,6 +14,7 @@
 use fmaverify_sat::{Cnf, Lit, Solver, Var};
 
 use crate::aig::{Netlist, Node, NodeId, Signal};
+use crate::gate::Gate;
 
 /// Where the encoder puts its variables and clauses.
 pub(crate) trait ClauseSink {
@@ -44,39 +45,13 @@ impl ClauseSink for Cnf {
     }
 }
 
-/// How an AND node is encoded, with the fanins its clauses range over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Gate {
-    /// `n = a ∧ b`.
-    And([Signal; 2]),
-    /// `n = u1 ⊕ u2`.
-    Xor([Signal; 2]),
-    /// `n = ¬ITE(s, t, e)`, as `[s, t, e]`.
-    Mux([Signal; 3]),
-}
-
-impl Gate {
-    fn fanins(&self) -> &[Signal] {
-        match self {
-            Gate::And(f) | Gate::Xor(f) => f,
-            Gate::Mux(f) => f,
-        }
-    }
-}
-
 /// Incrementally encodes signals of one netlist into one [`Solver`].
 ///
 /// Each primary input, latch and AND node that is encoded gets one
 /// variable, which equals the node's function under every model. A plain
-/// AND gets 3 clauses, except at an AND node `n = AND(!p, !q)` whose fanins
-/// are ANDs `p = AND(u1, u2)` and `q = AND(v1, v2)` that form one of two
-/// structures:
-///
-/// * **XOR:** `{u1, u2} == {!v1, !v2}`. Then `n ≡ u1 ⊕ u2`, encoded as 4
-///   ternary clauses over `u1`, `u2` and one new variable.
-/// * **MUX:** otherwise, some `u` is the complement of some `v` (the
-///   selector `s`, with `p = s ∧ t` and `q = !s ∧ e`). Then
-///   `n ≡ ¬ITE(s, t, e)`, encoded as 4 clauses.
+/// AND gets 3 clauses. An AND node `n = AND(!p, !q)` that heads an XOR or
+/// MUX structure ([`Gate::recognize`]) gets 4 clauses over the
+/// grandchildren instead: `n ≡ u1 ⊕ u2`, or `n ≡ ¬ITE(s, t, e)`.
 ///
 /// A structure is used only when `p` and `q` each have fanout 1 (exactly
 /// one AND gate or latch reads them) and neither is encoded yet. Fanout is
@@ -143,7 +118,11 @@ impl SatEncoder {
                 }),
                 Node::Input { .. } | Node::Latch { .. } => sink.new_var().positive(),
                 Node::And(a, b) => {
-                    let gate = self.gate(netlist, *a, *b);
+                    // A fanin is absorbable when it has fanout 1 and is
+                    // not yet encoded.
+                    let gate = Gate::recognize(netlist, *a, *b, |f| {
+                        self.fanout[f.index()] == 1 && self.map[f.index()].is_none()
+                    });
                     let pending = stack.len();
                     for f in gate.fanins() {
                         if self.map[f.node().index()].is_none() {
@@ -183,36 +162,6 @@ impl SatEncoder {
                 _ => {}
             }
         }
-    }
-
-    /// Decides how to encode the AND node with fanins `a` and `b`.
-    fn gate(&self, netlist: &Netlist, a: Signal, b: Signal) -> Gate {
-        let and = Gate::And([a, b]);
-        if !a.is_inverted() || !b.is_inverted() {
-            return and;
-        }
-        let absorbable = |s: Signal| match netlist.node(s.node()) {
-            Node::And(x, y)
-                if self.fanout[s.node().index()] == 1 && self.map[s.node().index()].is_none() =>
-            {
-                Some([*x, *y])
-            }
-            _ => None,
-        };
-        let (Some([u1, u2]), Some([v1, v2])) = (absorbable(a), absorbable(b)) else {
-            return and;
-        };
-        if (u1 == !v1 && u2 == !v2) || (u1 == !v2 && u2 == !v1) {
-            return Gate::Xor([u1, u2]);
-        }
-        for (s, t) in [(u1, u2), (u2, u1)] {
-            for (not_s, e) in [(v1, v2), (v2, v1)] {
-                if s == !not_s {
-                    return Gate::Mux([s, t, e]);
-                }
-            }
-        }
-        and
     }
 
     /// Adds the clauses of `gate` over a fresh variable and returns it.
