@@ -525,11 +525,6 @@ impl BddManager {
         self.var2level[v.index()] as usize
     }
 
-    /// Returns the current variable order, top level first.
-    pub fn current_order(&self) -> Vec<BddVar> {
-        self.level2var.iter().map(|&v| BddVar(v)).collect()
-    }
-
     /// Returns the variable currently at `level` (0 = top of the order).
     pub fn var_at_level(&self, level: usize) -> BddVar {
         BddVar(self.level2var[level])

@@ -124,23 +124,6 @@ fn order_is_current(mgr: &BddManager, order: &[BddVar]) -> bool {
     order.iter().enumerate().all(|(l, v)| mgr.level_of(*v) == l)
 }
 
-impl BddManager {
-    /// Union of the supports of all `roots`.
-    pub fn support_of_all(&self, roots: &[Bdd]) -> Vec<BddVar> {
-        let mut seen = vec![false; self.num_vars()];
-        for r in roots {
-            for v in self.support(*r) {
-                seen[v.index()] = true;
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| BddVar::from_index(i))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

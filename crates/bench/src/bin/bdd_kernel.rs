@@ -391,9 +391,6 @@ fn mutation_resim(bits: usize) -> (u64, u64) {
             live = m.gc(&live);
         }
     }
-    if std::env::var("FMAVERIFY_KERNEL_STATS").is_ok() {
-        eprintln!("mut_resim stats: {:?}", m.stats());
-    }
     (mismatches, checksum)
 }
 

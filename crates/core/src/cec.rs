@@ -1,14 +1,15 @@
 //! Combinational equivalence checking (the role of Verity \[14\] in the
 //! paper's flow: correlating one design representation against another).
 //!
-//! Two netlists with matching input and output names are merged into one,
-//! a miter is built over all common outputs, redundancy removal shrinks it,
-//! and SAT settles the remainder.
+//! Two netlists with matching input and output names are merged into one
+//! ([`Netlist::import`] matches the inputs by name), a miter is built over
+//! all common outputs, redundancy removal shrinks it, and SAT settles the
+//! remainder.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use fmaverify_netlist::{sat_sweep, Netlist, Node, SatEncoder, Signal, SweepOptions};
+use fmaverify_netlist::{sat_sweep, Netlist, SatEncoder, Signal, SweepOptions};
 use fmaverify_sat::{SolveResult, Solver};
 
 use crate::engine::EngineStats;
@@ -27,43 +28,6 @@ pub struct CecResult {
     /// Unified resource statistics (SAT conflicts, post-sweep cone size,
     /// wall time) in the same shape the case engines report.
     pub stats: EngineStats,
-    /// Wall-clock duration.
-    pub duration: Duration,
-}
-
-/// Imports `src` into `dst`, mapping primary inputs by name (creating them
-/// in `dst` when absent). Returns the signal map from `src` node indices to
-/// `dst` signals.
-pub fn import_netlist(dst: &mut Netlist, src: &Netlist) -> Vec<Signal> {
-    let mut remap: Vec<Signal> = vec![Signal::FALSE; src.num_nodes()];
-    for id in src.node_ids() {
-        let new_sig = match src.node(id) {
-            Node::Const => Signal::FALSE,
-            Node::Input { name } => match dst.find_input(name) {
-                Some(sig) => sig,
-                None => dst.input(name.clone()),
-            },
-            Node::Latch { init, .. } => dst.latch(*init),
-            Node::And(a, b) => {
-                let la = edge(&remap, *a);
-                let lb = edge(&remap, *b);
-                dst.and(la, lb)
-            }
-        };
-        remap[id.index()] = new_sig;
-    }
-    for &l in src.latches() {
-        if let Node::Latch {
-            next, connected, ..
-        } = src.node(l)
-        {
-            if *connected {
-                let nn = edge(&remap, *next);
-                dst.set_latch_next(remap[l.index()], nn);
-            }
-        }
-    }
-    remap
 }
 
 /// Checks combinational equivalence of the outputs shared by name between
@@ -74,18 +38,18 @@ pub fn import_netlist(dst: &mut Netlist, src: &Netlist) -> Vec<Signal> {
 pub fn check_equivalence(left: &Netlist, right: &Netlist) -> CecResult {
     let start = Instant::now();
     let mut merged = Netlist::new();
-    let lmap = import_netlist(&mut merged, left);
-    let rmap = import_netlist(&mut merged, right);
+    let lmap = merged.import(left, |n, _, _, a, b| n.and(a, b));
+    let rmap = merged.import(right, |n, _, _, a, b| n.and(a, b));
 
     let right_outputs: HashMap<&str, Signal> = right
         .outputs()
         .iter()
-        .map(|(name, sig)| (name.as_str(), edge(&rmap, *sig)))
+        .map(|(name, sig)| (name.as_str(), sig.through(&rmap)))
         .collect();
     let mut pairs: Vec<(String, Signal, Signal)> = Vec::new();
     for (name, sig) in left.outputs() {
         if let Some(&rs) = right_outputs.get(name.as_str()) {
-            pairs.push((name.clone(), edge(&lmap, *sig), rs));
+            pairs.push((name.clone(), sig.through(&lmap), rs));
         }
     }
     assert!(!pairs.is_empty(), "no common outputs to compare");
@@ -113,23 +77,12 @@ pub fn check_equivalence(left: &Netlist, right: &Netlist) -> CecResult {
         match solver.solve_with_assumptions(&[lit]) {
             SolveResult::Unsat => continue,
             SolveResult::Sat => {
-                let mut cex = HashMap::new();
-                for &id in merged.inputs() {
-                    if let Node::Input { name } = merged.node(id) {
-                        let value = enc
-                            .existing_lit(merged.signal(id))
-                            .map(|l| solver.model_lit_value(l).is_true())
-                            .unwrap_or(false);
-                        cex.insert(name.clone(), value);
-                    }
-                }
                 return CecResult {
                     equivalent: false,
                     failing_output: Some(name.clone()),
-                    counterexample: Some(cex),
+                    counterexample: Some(enc.input_model(&merged, &solver)),
                     swept_merges: sweep.merged,
                     stats: stats(&solver, start.elapsed()),
-                    duration: start.elapsed(),
                 };
             }
             SolveResult::Unknown => unreachable!("no budget configured"),
@@ -141,17 +94,6 @@ pub fn check_equivalence(left: &Netlist, right: &Netlist) -> CecResult {
         counterexample: None,
         swept_merges: sweep.merged,
         stats: stats(&solver, start.elapsed()),
-        duration: start.elapsed(),
-    }
-}
-
-#[inline]
-fn edge(remap: &[Signal], sig: Signal) -> Signal {
-    let body = remap[sig.node().index()];
-    if sig.is_inverted() {
-        !body
-    } else {
-        body
     }
 }
 

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use fmaverify_netlist::{sat_sweep, Netlist, Node, SatEncoder, Signal, SweepOptions};
+use fmaverify_netlist::{sat_sweep, Netlist, SatEncoder, Signal, SweepOptions};
 use fmaverify_sat::{SolveResult, Solver, SolverStats};
 
 /// Options for a SAT check.
@@ -92,21 +92,7 @@ pub fn check_miter_sat_parts(
     let result = solver.solve_with_assumptions(&assumptions);
     let holds = result == SolveResult::Unsat;
     let unknown = result == SolveResult::Unknown;
-    let counterexample = if result == SolveResult::Sat {
-        let mut cex = HashMap::new();
-        for &id in netlist.inputs() {
-            if let Node::Input { name } = netlist.node(id) {
-                let value = enc
-                    .existing_lit(netlist.signal(id))
-                    .map(|l| solver.model_lit_value(l).is_true())
-                    .unwrap_or(false);
-                cex.insert(name.clone(), value);
-            }
-        }
-        Some(cex)
-    } else {
-        None
-    };
+    let counterexample = (result == SolveResult::Sat).then(|| enc.input_model(netlist, &solver));
     SatOutcome {
         holds,
         counterexample,

@@ -117,7 +117,7 @@ pub use cache::{
 };
 pub use campaign::{run_campaign, CampaignReport, MutantOutcome, MutantStatus};
 pub use cases::{cancellation_deltas, enumerate_cases, CaseClass, CaseId, ShaCase};
-pub use cec::{check_equivalence, import_netlist, CecResult};
+pub use cec::{check_equivalence, CecResult};
 pub use completeness::{prove_completeness, CompletenessResult};
 pub use config::{RunConfig, DEFAULT_CACHE_DIR};
 pub use engine::{

@@ -66,54 +66,18 @@ pub fn inject_fault(netlist: &Netlist, target: NodeId, kind: MutationKind) -> Ne
         matches!(netlist.node(target), Node::And(..)),
         "mutation target must be an AND gate"
     );
-    let mut out = Netlist::new();
-    let mut remap: Vec<Signal> = vec![Signal::FALSE; netlist.num_nodes()];
-    for id in netlist.node_ids() {
-        let new_sig = match netlist.node(id) {
-            Node::Const => Signal::FALSE,
-            Node::Input { name } => out.input(name.clone()),
-            Node::Latch { init, .. } => out.latch(*init),
-            Node::And(a, b) => {
-                let la = apply(&remap, *a);
-                let lb = apply(&remap, *b);
-                if id == target {
-                    match kind {
-                        MutationKind::InvertOutput => {
-                            let g = out.and(la, lb);
-                            !g
-                        }
-                        MutationKind::InvertInputA => out.and(!la, lb),
-                        MutationKind::AndToOr => out.or(la, lb),
-                        MutationKind::AndToXor => out.xor(la, lb),
-                        MutationKind::PassThroughA => la,
-                    }
-                } else {
-                    out.and(la, lb)
-                }
-            }
-        };
-        remap[id.index()] = new_sig;
-    }
-    for &l in netlist.latches() {
-        if let Node::Latch {
-            next, connected, ..
-        } = netlist.node(l)
-        {
-            if *connected {
-                let nn = apply(&remap, *next);
-                out.set_latch_next(remap[l.index()], nn);
-            }
+    let (out, _) = netlist.rebuild(|out, id, _, a, b| {
+        if id != target {
+            return out.and(a, b);
         }
-    }
-    for (name, sig) in netlist.outputs() {
-        let s = apply(&remap, *sig);
-        out.output(name.clone(), s);
-    }
-    for name in netlist.probe_names() {
-        let sig = netlist.find_probe(name).expect("probe exists");
-        let s = apply(&remap, sig);
-        out.probe(name.to_string(), s);
-    }
+        match kind {
+            MutationKind::InvertOutput => !out.and(a, b),
+            MutationKind::InvertInputA => out.and(!a, b),
+            MutationKind::AndToOr => out.or(a, b),
+            MutationKind::AndToXor => out.xor(a, b),
+            MutationKind::PassThroughA => a,
+        }
+    });
     out
 }
 
@@ -177,16 +141,6 @@ pub fn random_fault_in(
     let node = candidates[rng.gen_range(0..candidates.len())];
     let kind = MutationKind::ALL[rng.gen_range(0..MutationKind::ALL.len())];
     (inject_fault(netlist, node, kind), Mutation { node, kind })
-}
-
-#[inline]
-fn apply(remap: &[Signal], sig: Signal) -> Signal {
-    let body = remap[sig.node().index()];
-    if sig.is_inverted() {
-        !body
-    } else {
-        body
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! cannot (e.g. a specific δ and normalization shift).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fmaverify_netlist::{BitSim, Netlist, Node, SatEncoder, Signal};
 use fmaverify_sat::{Lit, SolveResult, Solver};
@@ -31,8 +31,6 @@ pub struct SemiFormalOutcome {
     /// Unified resource statistics (total solver conflicts across all
     /// stimulus queries, wall time) in the case-engine shape.
     pub stats: EngineStats,
-    /// Wall-clock duration.
-    pub duration: Duration,
 }
 
 /// Draws up to `count` distinct samples satisfying all `constraint_parts`
@@ -114,7 +112,6 @@ pub fn semi_formal_check(
             wall: start.elapsed(),
             ..EngineStats::default()
         },
-        duration: start.elapsed(),
     }
 }
 

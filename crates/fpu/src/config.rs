@@ -63,11 +63,6 @@ impl FpuOp {
         }
     }
 
-    /// True for the instructions that negate the addend (`a*b - c`).
-    pub fn subtracts_addend(self) -> bool {
-        matches!(self, FpuOp::Fms | FpuOp::Fnms)
-    }
-
     /// True for the instructions that negate the final (non-NaN) result.
     pub fn negates_result(self) -> bool {
         matches!(self, FpuOp::Fnma | FpuOp::Fnms)

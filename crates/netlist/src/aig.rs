@@ -10,6 +10,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::sim::BitSim;
+
 /// A signal: an edge to a netlist node, possibly inverted.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Signal(u32);
@@ -41,6 +43,19 @@ impl Signal {
     #[inline]
     pub fn is_const(self) -> bool {
         self.0 >> 1 == 0
+    }
+
+    /// This signal, complemented when `invert` is set.
+    #[inline]
+    pub fn invert_if(self, invert: bool) -> Signal {
+        Signal(self.0 ^ u32::from(invert))
+    }
+
+    /// The image of this edge under a node map: `map[node]` with this
+    /// edge's complement applied.
+    #[inline]
+    pub fn through(self, map: &[Signal]) -> Signal {
+        map[self.node().index()].invert_if(self.is_inverted())
     }
 }
 
@@ -384,15 +399,6 @@ impl Netlist {
             .count()
     }
 
-    /// Counts the AND gates in the sequential cone of `roots`.
-    pub fn seq_cone_size(&self, roots: &[Signal]) -> usize {
-        self.seq_cone(roots)
-            .iter()
-            .enumerate()
-            .filter(|&(i, &m)| m && matches!(self.nodes[i], Node::And(..)))
-            .count()
-    }
-
     /// Evaluates the combinational netlist for named input values, returning
     /// the outputs by name. Latches evaluate to their reset values. Intended
     /// for small hand-written tests; use [`crate::BitSim`] for bulk simulation.
@@ -400,34 +406,24 @@ impl Netlist {
     /// # Panics
     /// Panics if an input name is unknown or an input is missing.
     pub fn eval_comb(&self, inputs: &[(&str, bool)]) -> HashMap<String, bool> {
-        let mut values = vec![false; self.nodes.len()];
+        let mut sim = BitSim::new(self);
         let mut provided = vec![false; self.inputs.len()];
         for (name, v) in inputs {
             let idx = *self
                 .input_index
                 .get(*name)
                 .unwrap_or_else(|| panic!("unknown input '{name}'"));
-            values[self.inputs[idx].index()] = *v;
+            sim.set(self.signal(self.inputs[idx]), *v);
             provided[idx] = true;
         }
         assert!(
             provided.iter().all(|&p| p),
             "all inputs must be provided to eval_comb"
         );
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                Node::Const | Node::Input { .. } => {}
-                Node::Latch { init, .. } => values[i] = *init,
-                Node::And(a, b) => {
-                    let va = values[a.node().index()] ^ a.is_inverted();
-                    let vb = values[b.node().index()] ^ b.is_inverted();
-                    values[i] = va && vb;
-                }
-            }
-        }
+        sim.eval();
         self.outputs
             .iter()
-            .map(|(name, s)| (name.clone(), values[s.node().index()] ^ s.is_inverted()))
+            .map(|(name, s)| (name.clone(), sim.get(*s)))
             .collect()
     }
 
@@ -463,6 +459,69 @@ impl Netlist {
                 assert!(*connected, "latch {l:?} was never connected");
             }
         }
+    }
+
+    /// Copies `src` into this netlist node by node and returns the node
+    /// map: `map[i]` is the signal of `src` node `i` here.
+    ///
+    /// Inputs are matched by name, and any that are missing are created.
+    /// Latches are created with their reset values, and the connected ones
+    /// are reconnected once every node is mapped. Each AND gate is built by
+    /// `and(self, id, map, a, b)`, where `a` and `b` are its already-mapped
+    /// fanins and `map` covers the nodes before `id`; return `self.and(a,
+    /// b)` for a faithful copy. Outputs and probes are not copied (see
+    /// [`Netlist::rebuild`]).
+    pub fn import(
+        &mut self,
+        src: &Netlist,
+        mut and: impl FnMut(&mut Netlist, NodeId, &[Signal], Signal, Signal) -> Signal,
+    ) -> Vec<Signal> {
+        let mut map: Vec<Signal> = Vec::with_capacity(src.num_nodes());
+        for id in src.node_ids() {
+            let sig = match src.node(id) {
+                Node::Const => Signal::FALSE,
+                Node::Input { name } => match self.find_input(name) {
+                    Some(sig) => sig,
+                    None => self.input(name.clone()),
+                },
+                Node::Latch { init, .. } => self.latch(*init),
+                Node::And(a, b) => {
+                    let (a, b) = (a.through(&map), b.through(&map));
+                    and(self, id, &map, a, b)
+                }
+            };
+            map.push(sig);
+        }
+        for &l in src.latches() {
+            if let Node::Latch {
+                next,
+                connected: true,
+                ..
+            } = src.node(l)
+            {
+                self.set_latch_next(map[l.index()], next.through(&map));
+            }
+        }
+        map
+    }
+
+    /// [`Netlist::import`] into a fresh netlist, with the outputs and probes
+    /// re-declared under their names. Returns the new netlist and the node
+    /// map. A faithful copy (`and` returning `n.and(a, b)`) keeps every
+    /// node's number.
+    pub fn rebuild(
+        &self,
+        and: impl FnMut(&mut Netlist, NodeId, &[Signal], Signal, Signal) -> Signal,
+    ) -> (Netlist, Vec<Signal>) {
+        let mut out = Netlist::new();
+        let map = out.import(self, and);
+        for (name, sig) in &self.outputs {
+            out.output(name.clone(), sig.through(&map));
+        }
+        for (name, sig) in &self.probes {
+            out.probe(name.clone(), sig.through(&map));
+        }
+        (out, map)
     }
 }
 
@@ -569,5 +628,40 @@ mod tests {
         assert_eq!(n.find_probe("internal"), Some(g));
         assert_eq!(n.find_probe("nope"), None);
         assert_eq!(n.probe_names(), vec!["internal"]);
+    }
+
+    #[test]
+    fn faithful_rebuild_is_the_identity() {
+        let mut n = Netlist::new();
+        let a = n.input("a");
+        let q = n.latch(true);
+        let b = n.input("b");
+        let r = n.latch(false);
+        let spare = n.latch(false);
+        let x = n.xor(a, q);
+        let m = n.mux(b, x, !r);
+        n.set_latch_next(q, !m);
+        n.set_latch_next(r, x);
+        n.set_latch_next(spare, Signal::TRUE);
+        n.output("m", m);
+        n.output("nx", !x);
+        n.probe("x", x);
+        n.probe("nm", !m);
+        let (copy, map) = n.rebuild(|out, _, _, a, b| out.and(a, b));
+        assert_eq!(map, n.node_ids().map(|id| n.signal(id)).collect::<Vec<_>>());
+        assert_eq!(copy.num_nodes(), n.num_nodes());
+        assert_eq!(copy.latches(), n.latches());
+        copy.assert_closed();
+        for &l in n.latches() {
+            assert_eq!(format!("{:?}", copy.node(l)), format!("{:?}", n.node(l)));
+        }
+        assert_eq!(copy.outputs(), n.outputs());
+        assert_eq!(copy.probe_names(), n.probe_names());
+        for name in n.probe_names() {
+            assert_eq!(copy.find_probe(name), n.find_probe(name));
+        }
+        for (_, sig) in n.outputs() {
+            assert_eq!(copy.coi_hash(&[*sig]), n.coi_hash(&[*sig]));
+        }
     }
 }

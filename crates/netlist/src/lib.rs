@@ -7,17 +7,21 @@
 //!
 //! * [`Netlist`]/[`Signal`] — the AIG with structural hashing, constant
 //!   folding, named outputs and internal probe points;
+//! * [`Netlist::import`]/[`Netlist::rebuild`] — the one node-by-node copy,
+//!   with a hook on every AND gate: the sweep's merges, fault injection
+//!   and equivalence checking's merged netlist are all built with it;
 //! * [`Word`] and word-level operators on [`Netlist`] — the "high-level VHDL
 //!   operators" (`+`, `sll`, comparators, leading-zero count, ...) used to
 //!   author the reference FPU;
 //! * [`BitSim`]/[`ParallelSim`] — sequential and 64-way bit-parallel
-//!   simulation;
+//!   simulation (the sweep's candidate classes come from [`ParallelSim`]);
 //! * [`unroll`] — bounded unfolding into combinational logic for SAT;
 //! * [`Gate`] — recognition of the AIG's XOR and MUX structures, shared by
 //!   the gate-aware engines;
 //! * [`SatEncoder`]/[`encode_to_cnf`] — gate-aware Tseitin encoding of
 //!   cones of influence (one variable per XOR or MUX structure), into a
-//!   solver or a DIMACS-ready CNF;
+//!   solver or a DIMACS-ready CNF, and [`SatEncoder::input_model`], the one
+//!   readback of a model as an input assignment;
 //! * [`sat_sweep`] — simulation-guided SAT sweeping, the paper's "automated
 //!   redundancy removal algorithms \[15\]";
 //! * [`Sha256`] and [`Netlist::coi_hash`] — dependency-free digests and

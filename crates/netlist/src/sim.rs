@@ -1,7 +1,7 @@
-//! Netlist simulation: single-pattern sequential simulation for driving
-//! designs cycle by cycle, and 64-way bit-parallel simulation used by the
-//! sweeping engine and by the constrained-random validation flow (the
-//! paper's "portable to simulation" claim).
+//! Netlist simulation: single-pattern sequential simulation ([`BitSim`]) for
+//! driving designs cycle by cycle and replaying counterexamples, and 64-way
+//! bit-parallel combinational simulation ([`ParallelSim`]) for the SAT
+//! sweep's candidate classes.
 
 use crate::aig::{Netlist, Node, Signal};
 use crate::word::Word;
@@ -124,8 +124,9 @@ impl<'a> BitSim<'a> {
 }
 
 /// 64-way bit-parallel combinational simulator. Latches are treated as free
-/// cut points (extra pattern inputs), which is how the sweeping engine views
-/// a sequential netlist.
+/// cut points (extra pattern inputs), which is how the sweep views a
+/// sequential netlist: [`crate::sat_sweep`] runs its random seed rounds and
+/// its counterexample refinements on this simulator.
 #[derive(Debug)]
 pub struct ParallelSim<'a> {
     netlist: &'a Netlist,

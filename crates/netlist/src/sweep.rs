@@ -15,7 +15,8 @@ use fmaverify_sat::{SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::aig::{Netlist, Node, Signal};
+use crate::aig::{Netlist, Node, NodeId, Signal};
+use crate::sim::ParallelSim;
 use crate::tseitin::SatEncoder;
 
 /// Options controlling a sweep.
@@ -79,28 +80,9 @@ fn netlist_sweep_impl(netlist: &Netlist, roots: &[Signal], opts: SweepOptions) -
 
     // Signatures: one u64 lane set per simulation round, per node.
     let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); n_nodes];
-    let mut sim_values: Vec<u64> = vec![0; n_nodes];
-    let run_round = |values: &mut Vec<u64>,
-                     signatures: &mut Vec<Vec<u64>>,
-                     fill: &mut dyn FnMut(usize) -> u64| {
-        for id in netlist.node_ids() {
-            let i = id.index();
-            match netlist.node(id) {
-                Node::Const => values[i] = 0,
-                Node::Input { .. } | Node::Latch { .. } => values[i] = fill(i),
-                Node::And(a, b) => {
-                    let va = values[a.node().index()] ^ inv_mask(a.is_inverted());
-                    let vb = values[b.node().index()] ^ inv_mask(b.is_inverted());
-                    values[i] = va & vb;
-                }
-            }
-        }
-        for (i, sig) in signatures.iter_mut().enumerate() {
-            sig.push(values[i]);
-        }
-    };
+    let mut sim = ParallelSim::new(netlist);
     for _ in 0..opts.sim_rounds {
-        run_round(&mut sim_values, &mut signatures, &mut |_| rng.gen());
+        simulate(netlist, &mut sim, &mut signatures, |_| rng.gen());
     }
 
     // Candidate classes keyed by normalized signature (complement-canonical:
@@ -141,10 +123,10 @@ fn netlist_sweep_impl(netlist: &Netlist, roots: &[Signal], opts: SweepOptions) -
             let (key, phase) = normalize_signature(&signatures[i]);
             let candidate = match classes.get(&key) {
                 None => {
-                    classes.insert(key, phased(netlist.signal(id), phase));
+                    classes.insert(key, netlist.signal(id).invert_if(phase));
                     continue;
                 }
-                Some(&rep) => phased(rep, phase),
+                Some(&rep) => rep.invert_if(phase),
             };
             if candidate.node() == id {
                 continue;
@@ -187,17 +169,18 @@ fn netlist_sweep_impl(netlist: &Netlist, roots: &[Signal], opts: SweepOptions) -
                 }
                 Outcome::Unequal => {
                     // Fold the counterexample into the signatures and restart
-                    // classification so the pair separates.
+                    // classification so the pair separates: the model
+                    // supplies lane 0 of each input and latch, random
+                    // values the other 63 lanes.
                     if refinements < MAX_REFINEMENTS {
                         refinements += 1;
-                        refine(
-                            netlist,
-                            &mut signatures,
-                            &mut sim_values,
-                            &solver,
-                            &encoder,
-                            &mut rng,
-                        );
+                        simulate(netlist, &mut sim, &mut signatures, |id| {
+                            let lanes: u64 = rng.gen();
+                            match encoder.model_value(&solver, netlist.signal(id)) {
+                                Some(v) => (lanes & !1) | u64::from(v),
+                                None => lanes,
+                            }
+                        });
                         query_cache.retain(|_, o| *o != Outcome::Unequal);
                         continue 'restart;
                     }
@@ -208,48 +191,11 @@ fn netlist_sweep_impl(netlist: &Netlist, roots: &[Signal], opts: SweepOptions) -
     }
 
     // Rebuild the netlist applying the substitutions.
-    let mut out = Netlist::new();
-    let mut remap: Vec<Signal> = vec![Signal::FALSE; n_nodes];
-    for id in netlist.node_ids() {
-        let i = id.index();
-        let new_sig = match netlist.node(id) {
-            Node::Const => Signal::FALSE,
-            Node::Input { name } => out.input(name.clone()),
-            Node::Latch { init, .. } => out.latch(*init),
-            Node::And(a, b) => {
-                if let Some(rep) = repr[i] {
-                    apply(&remap, rep)
-                } else {
-                    let la = apply(&remap, *a);
-                    let lb = apply(&remap, *b);
-                    out.and(la, lb)
-                }
-            }
-        };
-        remap[i] = new_sig;
-    }
-    // Reconnect latches.
-    for &l in netlist.latches() {
-        if let Node::Latch {
-            next, connected, ..
-        } = netlist.node(l)
-        {
-            if *connected {
-                let new_next = apply(&remap, *next);
-                out.set_latch_next(remap[l.index()], new_next);
-            }
-        }
-    }
-    for (name, sig) in netlist.outputs() {
-        let s = apply(&remap, *sig);
-        out.output(name.clone(), s);
-    }
-    for name in netlist.probe_names() {
-        let sig = netlist.find_probe(name).expect("probe exists");
-        let s = apply(&remap, sig);
-        out.probe(name.to_string(), s);
-    }
-    let new_roots: Vec<Signal> = roots.iter().map(|&r| apply(&remap, r)).collect();
+    let (out, map) = netlist.rebuild(|out, id, map, a, b| match repr[id.index()] {
+        Some(rep) => rep.through(map),
+        None => out.and(a, b),
+    });
+    let new_roots: Vec<Signal> = roots.iter().map(|r| r.through(&map)).collect();
     let ands_after = out.cone_size(&new_roots);
     SweepResult {
         ands_before: netlist.cone_size(roots),
@@ -263,49 +209,26 @@ fn netlist_sweep_impl(netlist: &Netlist, roots: &[Signal], opts: SweepOptions) -
     }
 }
 
-/// Adds one counterexample-derived simulation round: the SAT model supplies
-/// input/latch values in lane 0, random values fill the other 63 lanes.
-fn refine(
+/// Runs one 64-pattern simulation round and appends every node's lanes to
+/// its signature. `fill` supplies the pattern of each input and latch,
+/// drawn in node order.
+fn simulate(
     netlist: &Netlist,
+    sim: &mut ParallelSim,
     signatures: &mut [Vec<u64>],
-    values: &mut [u64],
-    solver: &Solver,
-    encoder: &SatEncoder,
-    rng: &mut StdRng,
+    mut fill: impl FnMut(NodeId) -> u64,
 ) {
+    let (mut inputs, mut latches) = (Vec::new(), Vec::new());
     for id in netlist.node_ids() {
-        let i = id.index();
         match netlist.node(id) {
-            Node::Const => values[i] = 0,
-            Node::Input { .. } | Node::Latch { .. } => {
-                let mut lanes: u64 = rng.gen();
-                if let Some(lit) = encoder.existing_lit(netlist.signal(id)) {
-                    match solver.model_lit_value(lit) {
-                        fmaverify_sat::LBool::True => lanes |= 1,
-                        fmaverify_sat::LBool::False => lanes &= !1,
-                        fmaverify_sat::LBool::Undef => {}
-                    }
-                }
-                values[i] = lanes;
-            }
-            Node::And(a, b) => {
-                let va = values[a.node().index()] ^ inv_mask(a.is_inverted());
-                let vb = values[b.node().index()] ^ inv_mask(b.is_inverted());
-                values[i] = va & vb;
-            }
+            Node::Input { .. } => inputs.push(fill(id)),
+            Node::Latch { .. } => latches.push(fill(id)),
+            Node::Const | Node::And(..) => {}
         }
     }
-    for (i, sig) in signatures.iter_mut().enumerate() {
-        sig.push(values[i]);
-    }
-}
-
-#[inline]
-fn inv_mask(b: bool) -> u64 {
-    if b {
-        u64::MAX
-    } else {
-        0
+    sim.eval(&inputs, &latches);
+    for (id, sig) in netlist.node_ids().zip(signatures) {
+        sig.push(sim.get(netlist.signal(id)));
     }
 }
 
@@ -317,25 +240,6 @@ fn normalize_signature(sig: &[u64]) -> (Vec<u64>, bool) {
         (sig.iter().map(|&w| !w).collect(), true)
     } else {
         (sig.to_vec(), false)
-    }
-}
-
-#[inline]
-fn phased(sig: Signal, phase: bool) -> Signal {
-    if phase {
-        !sig
-    } else {
-        sig
-    }
-}
-
-#[inline]
-fn apply(remap: &[Signal], sig: Signal) -> Signal {
-    let body = remap[sig.node().index()];
-    if sig.is_inverted() {
-        !body
-    } else {
-        body
     }
 }
 
@@ -354,12 +258,12 @@ pub fn prove_equal(netlist: &Netlist, a: Signal, b: Signal) -> bool {
 mod tests {
     use super::*;
     use crate::sim::BitSim;
+    use crate::word::Word;
 
-    #[test]
-    fn merges_duplicated_adders() {
-        // Two adders built from different structures over the same operands:
-        // a ripple-carry adder versus a - (0 - b). Structural hashing cannot
-        // see through this; the sweep must prove the difference constant.
+    /// Two adders built from different structures over the same operands:
+    /// a ripple-carry adder versus a - (0 - b), and the OR of their
+    /// difference.
+    fn duplicated_adders() -> (Netlist, Signal) {
         let mut n = Netlist::new();
         let a = n.word_input("a", 8);
         let b = n.word_input("b", 8);
@@ -370,13 +274,11 @@ mod tests {
         let diff = n.xor_word(&s1, &s2);
         let any = n.or_reduce(&diff);
         n.output("any", any);
-        let result = sat_sweep(&n, &[any], SweepOptions::default());
-        assert_eq!(result.roots[0], Signal::FALSE, "difference must sweep to 0");
-        assert!(result.ands_after < result.ands_before);
+        (n, any)
     }
 
-    #[test]
-    fn sweep_preserves_function() {
+    /// The low 6 bits of `(a + b) ^ (a * b)` over 6-bit operands.
+    fn add_xor_mul() -> (Netlist, Word, Word, Vec<Signal>) {
         let mut n = Netlist::new();
         let a = n.word_input("a", 6);
         let b = n.word_input("b", 6);
@@ -386,7 +288,45 @@ mod tests {
         for (i, &bit) in sp.bits().iter().enumerate() {
             n.output(format!("o[{i}]"), bit);
         }
-        let roots: Vec<Signal> = sp.bits().to_vec();
+        let roots = sp.bits().to_vec();
+        (n, a, b, roots)
+    }
+
+    #[test]
+    fn merges_duplicated_adders() {
+        // Structural hashing cannot see through the two adders; the sweep
+        // must prove the difference constant.
+        let (n, any) = duplicated_adders();
+        let result = sat_sweep(&n, &[any], SweepOptions::default());
+        assert_eq!(result.roots[0], Signal::FALSE, "difference must sweep to 0");
+        assert!(result.ands_after < result.ands_before);
+    }
+
+    #[test]
+    fn sweep_statistics_are_pinned() {
+        // The sweep is a deterministic function of the netlist and the
+        // seed: the same merges, SAT queries and simulation rounds.
+        let stats = |r: SweepResult| {
+            (
+                r.merged,
+                r.sat_calls,
+                r.timeouts,
+                r.sim_rounds,
+                r.ands_before,
+                r.ands_after,
+            )
+        };
+        let (n, any) = duplicated_adders();
+        let result = sat_sweep(&n, &[any], SweepOptions::default());
+        assert_eq!(stats(result), (40, 40, 0, 8, 185, 0));
+        let (n, _, _, roots) = add_xor_mul();
+        let result = sat_sweep(&n, &roots, SweepOptions::default());
+        assert_eq!(stats(result), (2, 2, 0, 8, 179, 177));
+    }
+
+    #[test]
+    fn sweep_preserves_function() {
+        let (n, a, b, roots) = add_xor_mul();
         let result = sat_sweep(&n, &roots, SweepOptions::default());
         // Compare the original and swept netlists on random values.
         let mut rng = StdRng::seed_from_u64(7);

@@ -11,7 +11,9 @@
 //! [`Solver`] and DIMACS export ([`encode_to_cnf`]), so an exported CNF is
 //! the one the engine solves.
 
-use fmaverify_sat::{Cnf, Lit, Solver, Var};
+use std::collections::HashMap;
+
+use fmaverify_sat::{Cnf, LBool, Lit, Solver, Var};
 
 use crate::aig::{Netlist, Node, NodeId, Signal};
 use crate::gate::Gate;
@@ -212,6 +214,33 @@ impl SatEncoder {
             .copied()
             .flatten()
             .map(|l| if sig.is_inverted() { !l } else { l })
+    }
+
+    /// The value of `sig` in `solver`'s last model, if its node is encoded
+    /// and assigned.
+    pub(crate) fn model_value(&self, solver: &Solver, sig: Signal) -> Option<bool> {
+        match solver.model_lit_value(self.existing_lit(sig)?) {
+            LBool::True => Some(true),
+            LBool::False => Some(false),
+            LBool::Undef => None,
+        }
+    }
+
+    /// The primary-input assignment of `solver`'s last model, by input
+    /// name. An input without a value in the model (not encoded, absorbed
+    /// into a gate, or unassigned) reads as 0.
+    pub fn input_model(&self, netlist: &Netlist, solver: &Solver) -> HashMap<String, bool> {
+        netlist
+            .inputs()
+            .iter()
+            .map(|&id| {
+                let Node::Input { name } = netlist.node(id) else {
+                    unreachable!("inputs() holds input nodes")
+                };
+                let value = self.model_value(solver, netlist.signal(id));
+                (name.clone(), value.unwrap_or(false))
+            })
+            .collect()
     }
 }
 

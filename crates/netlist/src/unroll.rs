@@ -7,10 +7,7 @@
 //! pipelined implementation FPU unrolled to its latency becomes a purely
 //! combinational function of the cycle-0 operands.
 
-use std::collections::HashMap;
-
 use crate::aig::{Netlist, Node, Signal};
-use crate::word::Word;
 
 /// How primary inputs behave across unrolled cycles.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,29 +24,19 @@ pub enum InputMode {
 pub struct Unrolled {
     /// The combinational unrolled netlist (no latches).
     pub netlist: Netlist,
-    /// `map[cycle]` maps original signals to unrolled signals at that cycle.
-    map: Vec<HashMap<u32, Signal>>,
+    /// `map[cycle][node]` is the unrolled signal of an original node at
+    /// that cycle.
+    map: Vec<Vec<Signal>>,
 }
 
 impl Unrolled {
     /// The unrolled counterpart of `sig` at `cycle`.
     ///
     /// # Panics
-    /// Panics if the cycle is out of range or the signal was not reachable.
+    /// Panics if `cycle` is not below [`Unrolled::cycles`] or `sig` is not a
+    /// signal of the netlist that was unrolled.
     pub fn at(&self, cycle: usize, sig: Signal) -> Signal {
-        let body = *self.map[cycle]
-            .get(&(sig.node().index() as u32))
-            .unwrap_or_else(|| panic!("signal {sig:?} not present at cycle {cycle}"));
-        if sig.is_inverted() {
-            !body
-        } else {
-            body
-        }
-    }
-
-    /// The unrolled counterpart of a word at `cycle`.
-    pub fn word_at(&self, cycle: usize, w: &Word) -> Word {
-        Word::from_bits(w.bits().iter().map(|&b| self.at(cycle, b)).collect())
+        sig.through(&self.map[cycle])
     }
 
     /// Number of unrolled cycles.
@@ -70,9 +57,10 @@ pub fn unroll(netlist: &Netlist, cycles: usize, mode: InputMode) -> Unrolled {
     assert!(cycles > 0, "need at least one cycle");
     netlist.assert_closed();
     let mut out = Netlist::new();
-    let mut map: Vec<HashMap<u32, Signal>> = vec![HashMap::new(); cycles];
+    let mut map: Vec<Vec<Signal>> = Vec::with_capacity(cycles);
 
     for cycle in 0..cycles {
+        let mut cur: Vec<Signal> = Vec::with_capacity(netlist.num_nodes());
         for id in netlist.node_ids() {
             let new_sig = match netlist.node(id) {
                 Node::Const => Signal::FALSE,
@@ -80,53 +68,30 @@ pub fn unroll(netlist: &Netlist, cycles: usize, mode: InputMode) -> Unrolled {
                     if cycle == 0 || mode == InputMode::FreshPerCycle {
                         out.input(format!("{name}@{cycle}"))
                     } else {
-                        map[0][&(id.index() as u32)]
+                        map[0][id.index()]
                     }
                 }
-                Node::Latch { init, next, .. } => {
-                    if cycle == 0 {
-                        if *init {
-                            Signal::TRUE
-                        } else {
-                            Signal::FALSE
-                        }
-                    } else {
-                        let prev = map[cycle - 1][&(next.node().index() as u32)];
-                        if next.is_inverted() {
-                            !prev
-                        } else {
-                            prev
-                        }
-                    }
-                }
+                Node::Latch { init, next, .. } => match map.last() {
+                    None => Signal::FALSE.invert_if(*init),
+                    Some(prev) => next.through(prev),
+                },
                 Node::And(a, b) => {
-                    let la = lookup(&map[cycle], *a);
-                    let lb = lookup(&map[cycle], *b);
-                    out.and(la, lb)
+                    let (a, b) = (a.through(&cur), b.through(&cur));
+                    out.and(a, b)
                 }
             };
-            map[cycle].insert(id.index() as u32, new_sig);
+            cur.push(new_sig);
         }
         for (name, sig) in netlist.outputs() {
-            let s = lookup(&map[cycle], *sig);
-            out.output(format!("{name}@{cycle}"), s);
+            out.output(format!("{name}@{cycle}"), sig.through(&cur));
         }
         for name in netlist.probe_names() {
             let sig = netlist.find_probe(name).expect("probe exists");
-            let s = lookup(&map[cycle], sig);
-            out.probe(format!("{name}@{cycle}"), s);
+            out.probe(format!("{name}@{cycle}"), sig.through(&cur));
         }
+        map.push(cur);
     }
     Unrolled { netlist: out, map }
-}
-
-fn lookup(map: &HashMap<u32, Signal>, sig: Signal) -> Signal {
-    let body = map[&(sig.node().index() as u32)];
-    if sig.is_inverted() {
-        !body
-    } else {
-        body
-    }
 }
 
 #[cfg(test)]

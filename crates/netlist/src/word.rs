@@ -142,23 +142,10 @@ impl Netlist {
         }
     }
 
-    /// Bitwise AND of equal-width words.
+    /// Bitwise OR of equal-width words.
     ///
     /// # Panics
-    /// Panics on width mismatch (also for `or_word`/`xor_word`).
-    pub fn and_word(&mut self, a: &Word, b: &Word) -> Word {
-        assert_eq!(a.width(), b.width(), "width mismatch");
-        Word {
-            bits: a
-                .bits
-                .iter()
-                .zip(&b.bits)
-                .map(|(&x, &y)| self.and(x, y))
-                .collect(),
-        }
-    }
-
-    /// Bitwise OR of equal-width words.
+    /// Panics on width mismatch (also for `xor_word`).
     pub fn or_word(&mut self, a: &Word, b: &Word) -> Word {
         assert_eq!(a.width(), b.width(), "width mismatch");
         Word {
