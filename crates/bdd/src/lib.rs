@@ -2,8 +2,8 @@
 //! edges, built for the FMA FPU verification methodology of Jacobi et al.
 //! (DATE 2005).
 //!
-//! Beyond the standard `ite`/quantification operations, the package provides
-//! the two care-set minimization operators the paper evaluates —
+//! Beyond the standard `ite` operation, the package provides the two
+//! care-set minimization operators the paper evaluates —
 //! [`BddManager::constrain`] (Coudert–Madre generalized cofactor, the
 //! paper's overall winner) and [`BddManager::restrict`] — plus node
 //! accounting ([`BddStats`]) used to regenerate Table 1, and apply-based

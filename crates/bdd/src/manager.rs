@@ -1,6 +1,6 @@
 //! The ROBDD manager: arena node store with per-variable open-addressed
 //! unique subtables, complement edges, ITE with a direct-mapped computed
-//! cache, quantification, and the `constrain`/`restrict` minimization
+//! cache, and the `constrain`/`restrict` minimization
 //! operators that carry the paper's case-split constraints from the reference
 //! FPU into the implementation FPU.
 //!
@@ -211,8 +211,6 @@ enum CacheOp {
     Ite = 1,
     Constrain = 2,
     Restrict = 3,
-    Exists = 4,
-    AndExists = 5,
 }
 
 /// One direct-mapped computed-cache slot: `(op, f, g, h) -> r`, raw edge
@@ -378,7 +376,7 @@ pub struct BddStats {
     pub peak_allocated: usize,
     /// Number of garbage collections performed.
     pub gc_runs: u64,
-    /// Recursive apply (`ite`/`constrain`/`restrict`/quantification) calls.
+    /// Recursive apply (`ite`/`constrain`/`restrict`) calls.
     pub ite_calls: u64,
     /// Computed-table lookups that hit.
     pub cache_hits: u64,
@@ -960,110 +958,6 @@ impl BddManager {
         r
     }
 
-    /// Existential quantification of `f` over the variables in `vars`.
-    pub fn exists(&mut self, f: Bdd, vars: &[BddVar]) -> Bdd {
-        let cube = self.cube(vars);
-        self.exists_cube(f, cube)
-    }
-
-    /// Universal quantification of `f` over the variables in `vars`.
-    pub fn forall(&mut self, f: Bdd, vars: &[BddVar]) -> Bdd {
-        let cube = self.cube(vars);
-        !self.exists_cube(!f, cube)
-    }
-
-    /// Builds the positive cube (conjunction) of the given variables.
-    pub fn cube(&mut self, vars: &[BddVar]) -> Bdd {
-        let mut sorted: Vec<BddVar> = vars.to_vec();
-        sorted.sort_by_key(|v| std::cmp::Reverse(self.level_of(*v)));
-        let mut acc = Bdd::TRUE;
-        for v in sorted {
-            acc = self.mk_node(v.0, acc, Bdd::FALSE);
-        }
-        acc
-    }
-
-    fn exists_cube(&mut self, f: Bdd, cube: Bdd) -> Bdd {
-        if f.is_const() || cube.is_true() {
-            return f;
-        }
-        self.stats.ite_calls += 1;
-        if let Some(r) = self.cache_get(CacheOp::Exists, f, cube, Bdd::FALSE) {
-            return r;
-        }
-        let f_level = self.level_of_ref(f);
-        // Skip cube variables above f's top variable.
-        let mut cube = cube;
-        while !cube.is_true() && self.level_of_ref(cube) < f_level {
-            cube = self.nodes[cube.id() as usize].high;
-        }
-        if cube.is_true() {
-            return f;
-        }
-        let level = f_level;
-        let (f1, f0) = self.cofactors(f, level);
-        let r = if self.level_of_ref(cube) == level {
-            let next_cube = self.nodes[cube.id() as usize].high;
-            let t = self.exists_cube(f1, next_cube);
-            let e = self.exists_cube(f0, next_cube);
-            self.or(t, e)
-        } else {
-            let t = self.exists_cube(f1, cube);
-            let e = self.exists_cube(f0, cube);
-            let var = self.level2var[level as usize];
-            self.mk_node(var, t, e)
-        };
-        self.cache_put(CacheOp::Exists, f, cube, Bdd::FALSE, r);
-        r
-    }
-
-    /// Relational product `exists vars. f AND g`, computed without building
-    /// the full conjunction.
-    pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[BddVar]) -> Bdd {
-        let cube = self.cube(vars);
-        self.and_exists_cube(f, g, cube)
-    }
-
-    fn and_exists_cube(&mut self, f: Bdd, g: Bdd, cube: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() {
-            return Bdd::FALSE;
-        }
-        if cube.is_true() {
-            return self.and(f, g);
-        }
-        if f.is_true() && g.is_true() {
-            return Bdd::TRUE;
-        }
-        self.stats.ite_calls += 1;
-        if let Some(r) = self.cache_get(CacheOp::AndExists, f, g, cube) {
-            return r;
-        }
-        let level = self.level_of_ref(f).min(self.level_of_ref(g));
-        let mut cube = cube;
-        while !cube.is_true() && self.level_of_ref(cube) < level {
-            cube = self.nodes[cube.id() as usize].high;
-        }
-        let (f1, f0) = self.cofactors(f, level);
-        let (g1, g0) = self.cofactors(g, level);
-        let r = if !cube.is_true() && self.level_of_ref(cube) == level {
-            let next_cube = self.nodes[cube.id() as usize].high;
-            let t = self.and_exists_cube(f1, g1, next_cube);
-            if t.is_true() {
-                Bdd::TRUE
-            } else {
-                let e = self.and_exists_cube(f0, g0, next_cube);
-                self.or(t, e)
-            }
-        } else {
-            let t = self.and_exists_cube(f1, g1, cube);
-            let e = self.and_exists_cube(f0, g0, cube);
-            let var = self.level2var[level as usize];
-            self.mk_node(var, t, e)
-        };
-        self.cache_put(CacheOp::AndExists, f, g, cube, r);
-        r
-    }
-
     /// Evaluates `f` under a complete assignment (indexed by variable index).
     pub fn eval(&self, f: Bdd, assignment: &[bool]) -> bool {
         let mut cur = f;
@@ -1485,59 +1379,6 @@ impl BddManager {
         Ok(())
     }
 
-    /// Renders the BDDs rooted at `roots` in Graphviz dot format: solid
-    /// edges for the high branch, dashed for low, dotted marks on
-    /// complemented edges. Useful for debugging small functions.
-    pub fn to_dot(&self, roots: &[(&str, Bdd)]) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        for (name, r) in roots {
-            let style = if r.is_complement() {
-                " style=dotted"
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "  \"{name}\" [shape=plaintext];");
-            let _ = writeln!(out, "  \"{name}\" -> n{}[{}];", r.id(), style);
-            stack.push(r.id());
-        }
-        while let Some(id) = stack.pop() {
-            if seen[id as usize] {
-                continue;
-            }
-            seen[id as usize] = true;
-            let n = self.nodes[id as usize];
-            if n.var == TERMINAL_VAR {
-                let _ = writeln!(out, "  n{id} [label=\"1\" shape=box];");
-                continue;
-            }
-            let _ = writeln!(out, "  n{id} [label=\"x{}\"];", n.var);
-            let hstyle = if n.high.is_complement() {
-                ", style=dotted"
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "  n{id} -> n{} [label=\"1\"{}];", n.high.id(), hstyle);
-            let lstyle = if n.low.is_complement() {
-                " style=dotted"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "  n{id} -> n{} [label=\"0\" style=dashed{}];",
-                n.low.id(),
-                lstyle
-            );
-            stack.push(n.high.id());
-            stack.push(n.low.id());
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Rebuilds the given roots under a new variable order and garbage
     /// collects everything else. `order` must be a permutation of all
     /// variables (top level first). Returns the remapped roots; all other
@@ -1703,28 +1544,6 @@ mod tests {
         assert_eq!(m.sat_count(Bdd::FALSE), 0.0);
         let x = m.xor(v[0], v[2]);
         assert_eq!(m.sat_count(x), 4.0);
-    }
-
-    #[test]
-    fn quantification() {
-        let (mut m, v) = setup(3);
-        let vars = [BddVar::from_index(1)];
-        let f = m.and(v[0], v[1]);
-        let ex = m.exists(f, &vars);
-        assert_eq!(ex, v[0]);
-        let fa = m.forall(f, &vars);
-        assert_eq!(fa, Bdd::FALSE);
-        let g = m.or(v[0], v[1]);
-        let fa2 = m.forall(g, &vars);
-        assert_eq!(fa2, v[0]);
-        // and_exists equals exists of and.
-        let h = m.or(v[1], v[2]);
-        let ae = m.and_exists(f, h, &vars);
-        let plain = {
-            let fh = m.and(f, h);
-            m.exists(fh, &vars)
-        };
-        assert_eq!(ae, plain);
     }
 
     #[test]
@@ -1976,19 +1795,6 @@ mod tests {
         // Trailing zeros are distinguished from absent bytes.
         assert_ne!(hash_bytes(b"ab"), hash_bytes(b"ab\0"));
         assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
-    }
-
-    #[test]
-    fn dot_rendering() {
-        let (mut m, v) = setup(2);
-        let f = m.and(v[0], v[1]);
-        let dot = m.to_dot(&[("and", f), ("nand", !f)]);
-        assert!(dot.starts_with("digraph bdd {"));
-        assert!(dot.contains("x0"));
-        assert!(dot.contains("x1"));
-        assert!(dot.contains("shape=box"));
-        assert!(dot.contains("style=dotted"), "complement edges are marked");
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

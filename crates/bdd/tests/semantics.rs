@@ -174,22 +174,6 @@ proptest! {
     }
 
     #[test]
-    fn quantification_matches_truth_table(e in arb_expr(), var_idx in 0..NUM_VARS) {
-        let (mut mgr, vars) = setup();
-        let f = build_bdd(&mut mgr, &vars, &e);
-        let qvars = [BddVar::from_index(var_idx)];
-        let ex = mgr.exists(f, &qvars);
-        let fa = mgr.forall(f, &qvars);
-        for bits in 0..1u32 << NUM_VARS {
-            let mut a: Vec<bool> = (0..NUM_VARS).map(|i| bits >> i & 1 == 1).collect();
-            let v0 = { a[var_idx] = false; eval_expr(&e, &a) };
-            let v1 = { a[var_idx] = true; eval_expr(&e, &a) };
-            prop_assert_eq!(mgr.eval(ex, &a), v0 || v1);
-            prop_assert_eq!(mgr.eval(fa, &a), v0 && v1);
-        }
-    }
-
-    #[test]
     fn gc_and_reorder_preserve_semantics(e in arb_expr(), perm_seed in 0u64..1000) {
         let (mut mgr, vars) = setup();
         let f = build_bdd(&mut mgr, &vars, &e);

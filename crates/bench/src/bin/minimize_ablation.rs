@@ -56,18 +56,13 @@ fn main() {
         let mut peak_max = 0usize;
         let mut aborted = 0usize;
         for (case, p) in &parts {
-            let delta = match case {
-                CaseId::OverlapNoCancel { delta } => Some(*delta),
-                CaseId::OverlapCancel { delta, .. } => Some(*delta),
-                _ => None,
-            };
             let out = check_miter_bdd_parts(
                 &h.netlist,
                 h.miter,
                 p,
                 &BddEngineOptions {
                     minimize,
-                    order: paper_order(&h, delta),
+                    order: paper_order(&h, case.delta()),
                     node_limit: Some(node_limit),
                     gc_threshold: node_limit / 8,
                     ..BddEngineOptions::default()

@@ -93,6 +93,15 @@ impl CaseId {
         }
     }
 
+    /// The exponent difference δ this case fixes (`None` for the far-out
+    /// and monolithic cases), e.g. for variable-order derivation.
+    pub fn delta(self) -> Option<i64> {
+        match self {
+            CaseId::Monolithic | CaseId::FarOut => None,
+            CaseId::OverlapNoCancel { delta } | CaseId::OverlapCancel { delta, .. } => Some(delta),
+        }
+    }
+
     /// A short stable label, e.g. for log lines and tables.
     pub fn label(self) -> String {
         match self {
@@ -119,11 +128,8 @@ pub fn cancellation_deltas(cfg: &FpuConfig, op: FpuOp) -> Vec<i64> {
         (_, FpuOp::Mul) => Vec::new(),
         (DenormalMode::FlushToZero, FpuOp::Add) => vec![-1, 0, 1],
         (DenormalMode::FlushToZero, _) => cfg.cancellation_deltas().to_vec(),
-        (DenormalMode::FullIeee, FpuOp::Add) => {
-            // Addition of two possibly-denormal operands: the product (= a)
-            // may have leading zeros, so every overlap δ can cancel.
-            (cfg.delta_min_overlap()..=cfg.delta_max_overlap()).collect()
-        }
+        // A denormal-acting product (for ADD, the operand a itself) may have
+        // leading zeros, so every overlap δ can cancel.
         (DenormalMode::FullIeee, _) => {
             (cfg.delta_min_overlap()..=cfg.delta_max_overlap()).collect()
         }
@@ -218,6 +224,24 @@ mod tests {
         // ~17k cases, matching the paper's "approximately 17,000".
         assert_eq!(cases.len(), 1 + 161 * 107);
         assert!(cases.len() > 17_000);
+    }
+
+    #[test]
+    fn overlap_cases_fix_an_overlap_delta() {
+        let cfg = FpuConfig {
+            format: FpFormat::MICRO,
+            denormals: DenormalMode::FullIeee,
+        };
+        for op in [FpuOp::Fma, FpuOp::Add, FpuOp::Mul] {
+            for case in enumerate_cases(&cfg, op) {
+                match case.delta() {
+                    None => assert!(matches!(case, CaseId::FarOut | CaseId::Monolithic)),
+                    Some(d) => {
+                        assert!((cfg.delta_min_overlap()..=cfg.delta_max_overlap()).contains(&d))
+                    }
+                }
+            }
+        }
     }
 
     #[test]

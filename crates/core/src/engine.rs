@@ -154,15 +154,6 @@ pub trait CaseEngine: Send + Sync {
     ) -> EngineOutcome;
 }
 
-/// The δ a case fixes, for variable-order derivation.
-pub(crate) fn case_delta(case: CaseId) -> Option<i64> {
-    match case {
-        CaseId::Monolithic | CaseId::FarOut => None,
-        CaseId::OverlapNoCancel { delta } => Some(delta),
-        CaseId::OverlapCancel { delta, .. } => Some(delta),
-    }
-}
-
 /// BDD symbolic simulation with care-set minimization of a combinational
 /// harness (wraps [`check_miter_bdd_parts`]).
 #[derive(Clone, Debug)]
@@ -213,7 +204,7 @@ impl CaseEngine for BddCaseEngine {
             constraint_parts,
             &BddEngineOptions {
                 minimize: self.minimize,
-                order: paper_order(harness, case_delta(case)),
+                order: paper_order(harness, case.delta()),
                 gc_threshold: self.gc_threshold,
                 node_limit: budget.node_limit,
                 cache_size: self.cache_size,

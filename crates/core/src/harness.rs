@@ -120,17 +120,7 @@ pub fn build_harness(cfg: &FpuConfig, options: HarnessOptions) -> Harness {
 
     let mult_constraint = match &st {
         None => Signal::TRUE,
-        Some((s, t)) => {
-            let c = multiplier_property(&mut n, cfg, &inputs, s, t);
-            let mut c = c;
-            for k in &options.st_constants {
-                let word = if k.in_t { t } else { s };
-                let bit = word.bit(k.bit);
-                let lit = if k.value { bit } else { !bit };
-                c = n.and(c, lit);
-            }
-            c
-        }
+        Some((s, t)) => multiplier_property(&mut n, cfg, &inputs, s, t, &options.st_constants),
     };
     n.probe("mult_constraint", mult_constraint);
 
@@ -282,75 +272,6 @@ impl Harness {
         }
         parts
     }
-
-    /// The disjunction of the constraints of all `cases` (with the opcode
-    /// fixed): proving this a tautology establishes completeness of the
-    /// split ("the disjunction of all the cases is easily provable as a
-    /// tautology").
-    pub fn cases_disjunction(&mut self, _op: FpuOp, cases: &[CaseId]) -> Signal {
-        // The sha/mult parts don't matter for coverage of the input space;
-        // completeness is about the δ partition. Still, we build the full
-        // constraints and existentially weaken by dropping sha/mult terms:
-        // the δ-only disjunction must already be a tautology.
-        let n = &mut self.netlist;
-        let cfg = &self.cfg;
-        let delta = architected_delta(n, cfg, &self.inputs);
-        let wexp = cfg.exp_arith_bits();
-        let signed_const = |n: &mut Netlist, v: i64| {
-            n.word_const(wexp, (v as i128 & ((1i128 << wexp) - 1)) as u128)
-        };
-        let mut acc = Signal::FALSE;
-        let mut seen_deltas = std::collections::HashSet::new();
-        for case in cases {
-            let c = match case {
-                CaseId::Monolithic => Signal::TRUE,
-                CaseId::FarOut => {
-                    let lo = signed_const(n, cfg.delta_min_overlap());
-                    let hi = signed_const(n, cfg.delta_max_overlap());
-                    let below = n.slt(&delta, &lo);
-                    let above = n.slt(&hi, &delta);
-                    n.or(below, above)
-                }
-                CaseId::OverlapNoCancel { delta: d } => {
-                    let k = signed_const(n, *d);
-                    n.eq_word(&delta, &k)
-                }
-                CaseId::OverlapCancel { delta: d, sha } => {
-                    if !seen_deltas.insert(*d) {
-                        continue;
-                    }
-                    // All sha sub-cases of one δ union to the δ constraint
-                    // only if the sha split is itself complete; that part is
-                    // covered by including every sha value plus the rest
-                    // case, which by construction partitions the sha word's
-                    // value space. Here we take the δ-level disjunct once,
-                    // relying on the per-δ completeness established by
-                    // `sha_cases_complete`.
-                    let _ = sha;
-                    let k = signed_const(n, *d);
-                    n.eq_word(&delta, &k)
-                }
-            };
-            acc = n.or(acc, c);
-        }
-        acc
-    }
-
-    /// The disjunction of all `C_sha` sub-constraints for one cancellation δ;
-    /// proving it a tautology (it does not even depend on δ) establishes the
-    /// per-δ completeness of the sha split.
-    pub fn sha_cases_complete(&mut self) -> Signal {
-        let n = &mut self.netlist;
-        let sha = self.ref_fpu.sha.clone();
-        let mut acc = Signal::FALSE;
-        for s in 0..self.cfg.prod_bits() {
-            let e = n.eq_const(&sha, s as u128);
-            acc = n.or(acc, e);
-        }
-        let lim = n.word_const(sha.width(), self.cfg.prod_bits() as u128);
-        let rest = n.ule(&lim, &sha);
-        n.or(acc, rest)
-    }
 }
 
 /// Rebuilds the architected exponent difference δ = e_p − e_c from the raw
@@ -385,20 +306,27 @@ pub fn architected_delta(n: &mut Netlist, cfg: &FpuConfig, inputs: &FpuInputs) -
 
 /// The multiplier-isolation property over `S'`,`T'` (and, for the soundness
 /// obligation, over the real `S`,`T`): the modular sum is a feasible
-/// significand product for the given operand classes.
+/// significand product for the given operand classes, and every hot-one
+/// rule in `st_constants` holds.
 ///
 /// * always: the sum fits in `prod_bits` bits;
 /// * any zero-acting operand ⇒ the sum is zero;
 /// * both operands normal ⇒ the sum is at least `2^(2f)` ("the sum of S'
 ///   and T' lies in the range [1,4)");
 /// * §6 generalization: one denormal-acting operand ⇒ sum < `2^(2f+1)`
-///   ("[0,2)"), both ⇒ sum < `2^(2f)` ("[0,1)").
+///   ("[0,2)"), both ⇒ sum < `2^(2f)` ("[0,1)");
+/// * each [`StConstant`]: that bit of `S` or `T` has that value.
+///
+/// [`build_harness`] assumes this signal over `S'`,`T'` and
+/// [`crate::prove_multiplier_soundness`] proves it over the real `S`,`T`,
+/// so the obligation is exactly the assumption.
 pub fn multiplier_property(
     n: &mut Netlist,
     cfg: &FpuConfig,
     inputs: &FpuInputs,
     s: &Word,
     t: &Word,
+    st_constants: &[StConstant],
 ) -> Signal {
     let f = cfg.format.frac_bits() as usize;
     let eb = cfg.format.exp_bits() as usize;
@@ -485,6 +413,12 @@ pub fn multiplier_property(
         let lt0 = n.ult(&u, &low_bound);
         let imp0 = n.implies(both_den, lt0);
         prop = n.and(prop, imp0);
+    }
+    for k in st_constants {
+        let word = if k.in_t { t } else { s };
+        let bit = word.bit(k.bit);
+        let lit = if k.value { bit } else { !bit };
+        prop = n.and(prop, lit);
     }
     prop
 }
@@ -604,7 +538,7 @@ mod tests {
         );
         let s = fpu.s.clone();
         let t = fpu.t.clone();
-        let prop = multiplier_property(&mut n, &cfg, &inputs, &s, &t);
+        let prop = multiplier_property(&mut n, &cfg, &inputs, &s, &t, &[]);
         let mut sim = BitSim::new(&n);
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);

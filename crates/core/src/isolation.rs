@@ -18,6 +18,7 @@ use fmaverify_sat::{SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::engine_sat::prove_tautology;
 use crate::harness::{multiplier_property, StConstant};
 
 /// Result of the soundness obligation.
@@ -36,7 +37,8 @@ pub struct SoundnessResult {
 }
 
 /// Builds the real-multiplier netlist and proves by SAT that `S`,`T`
-/// satisfy [`multiplier_property`] plus the given hot-one constants.
+/// satisfy [`multiplier_property`] with the given hot-one constants — the
+/// same signal the isolated harness assumes over `S'`,`T'`.
 pub fn prove_multiplier_soundness(cfg: &FpuConfig, st_constants: &[StConstant]) -> SoundnessResult {
     prove_multiplier_soundness_for(cfg, st_constants, MultiplierMode::Real)
 }
@@ -58,22 +60,10 @@ pub fn prove_multiplier_soundness_for(
         multiplier,
         PipelineMode::Combinational,
     );
-    let s = fpu.s.clone();
-    let t = fpu.t.clone();
-    let mut prop = multiplier_property(&mut n, cfg, &inputs, &s, &t);
-    for k in st_constants {
-        let word = if k.in_t { &t } else { &s };
-        let bit = word.bit(k.bit);
-        let lit = if k.value { bit } else { !bit };
-        prop = n.and(prop, lit);
-    }
+    let prop = multiplier_property(&mut n, cfg, &inputs, &fpu.s, &fpu.t, st_constants);
     let full_fpu_ands = n.cone_size(&[fpu.outputs.result.bit(0)]);
     let cone_ands = n.cone_size(&[prop]);
-
-    let mut solver = Solver::new();
-    let mut enc = SatEncoder::new();
-    let lit = enc.lit(&n, &mut solver, !prop);
-    let holds = solver.solve_with_assumptions(&[lit]) == SolveResult::Unsat;
+    let (holds, _) = prove_tautology(&n, prop);
     SoundnessResult {
         holds,
         cone_ands,

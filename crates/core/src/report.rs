@@ -38,12 +38,7 @@ pub struct TableRow {
 pub fn table1_rows(reports: &[InstructionReport]) -> Vec<TableRow> {
     let mut rows = Vec::new();
     for report in reports {
-        for class in [
-            CaseClass::OverlapWithCancellation,
-            CaseClass::OverlapNoCancellation,
-            CaseClass::FarOut,
-            CaseClass::Monolithic,
-        ] {
+        for class in CaseClass::ALL {
             let results: Vec<&CaseResult> = report.class_results(class);
             if results.is_empty() {
                 continue;

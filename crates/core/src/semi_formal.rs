@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use fmaverify_netlist::{BitSim, Netlist, Node, SatEncoder, Signal};
+use fmaverify_netlist::{BitSim, Netlist, SatEncoder, Signal};
 use fmaverify_sat::{Lit, SolveResult, Solver};
 
 use crate::engine::EngineStats;
@@ -56,16 +56,10 @@ pub fn semi_formal_check(
         .collect();
     // Make sure every primary input is encoded so models cover all of them
     // and blocking clauses pin complete vectors.
-    let input_lits: Vec<(String, Lit)> = netlist
+    let input_lits: Vec<Lit> = netlist
         .inputs()
         .iter()
-        .map(|&id| {
-            let name = match netlist.node(id) {
-                Node::Input { name } => name.clone(),
-                _ => unreachable!(),
-            };
-            (name, enc.lit(netlist, &mut solver, netlist.signal(id)))
-        })
+        .map(|&id| enc.lit(netlist, &mut solver, netlist.signal(id)))
         .collect();
 
     let mut sim = BitSim::new(netlist);
@@ -83,12 +77,8 @@ pub fn semi_formal_check(
             SolveResult::Sat => {}
         }
         // Extract, simulate, and block this vector.
-        let mut vector = HashMap::new();
-        let mut blocking = Vec::with_capacity(input_lits.len());
-        for (name, lit) in &input_lits {
-            let v = solver.model_lit_value(*lit).is_true();
-            vector.insert(name.clone(), v);
-            blocking.push(if v { !*lit } else { *lit });
+        let vector = enc.input_model(netlist, &solver);
+        for (name, &v) in &vector {
             sim.set(netlist.find_input(name).expect("input exists"), v);
         }
         sim.eval();
@@ -101,6 +91,16 @@ pub fn semi_formal_check(
             failure = Some(vector);
             break;
         }
+        let blocking: Vec<Lit> = input_lits
+            .iter()
+            .map(|&lit| {
+                if solver.model_lit_value(lit).is_true() {
+                    !lit
+                } else {
+                    lit
+                }
+            })
+            .collect();
         solver.add_clause(&blocking);
     }
     SemiFormalOutcome {
@@ -122,6 +122,7 @@ mod tests {
     use crate::harness::{build_harness, HarnessOptions};
     use crate::mutate::{inject_fault, MutationKind};
     use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
+    use fmaverify_netlist::Node;
     use fmaverify_softfloat::FpFormat;
 
     fn tiny() -> FpuConfig {

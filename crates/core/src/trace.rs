@@ -42,8 +42,7 @@ use crate::json::{JsonValue, ToJson};
 /// declaration order is the order counters appear in a [`MetricSet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Counter {
-    /// BDD manager: recursive apply/`ite` (and minimization/quantification)
-    /// calls.
+    /// BDD manager: recursive apply calls (`ite`, `constrain`, `restrict`).
     BddIteCalls,
     /// BDD manager: computed-table hits.
     BddCacheHits,

@@ -86,7 +86,8 @@ fn soundness_obligation_holds() {
 fn case_split_is_complete() {
     for mode in [DenormalMode::FlushToZero, DenormalMode::FullIeee] {
         for op in FpuOp::ALL {
-            let r = prove_completeness(&tiny(mode), op);
+            let cfg = tiny(mode);
+            let r = prove_completeness(&cfg, op, &enumerate_cases(&cfg, op));
             assert!(r.holds(), "op {op:?} mode {mode:?}");
         }
     }
