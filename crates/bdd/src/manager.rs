@@ -26,8 +26,8 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast non-cryptographic hasher (multiply-xor-shift) for the remaining
-/// map uses (`sat_count` memo, reorder rebuild memo), where keys are small
-/// tuples of integers.
+/// map uses (the reorder rebuild's node table and memo), where keys are
+/// small tuples of integers.
 #[derive(Default)]
 pub struct FastHasher(u64);
 
@@ -561,11 +561,6 @@ impl BddManager {
         self.mk_node(v.0, Bdd::TRUE, Bdd::FALSE)
     }
 
-    /// The BDD for the negation of a single variable.
-    pub fn nvar_bdd(&mut self, v: BddVar) -> Bdd {
-        !self.var_bdd(v)
-    }
-
     /// Creates (or finds) the node `if var then high else low`, applying the
     /// reduction and complement-edge canonicalization rules.
     ///
@@ -847,11 +842,6 @@ impl BddManager {
         self.ite(f, g, !g)
     }
 
-    /// Implication `f -> g`.
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.ite(f, g, Bdd::TRUE)
-    }
-
     /// Coudert–Madre generalized cofactor ("constrain").
     ///
     /// `constrain(f, c)` agrees with `f` on every assignment satisfying `c`
@@ -1004,41 +994,6 @@ impl BddManager {
                 cur = n.low;
             }
         }
-    }
-
-    /// Counts the satisfying assignments of `f` over all `num_vars`
-    /// variables, as an `f64` (exact for counts below 2^53).
-    pub fn sat_count(&self, f: Bdd) -> f64 {
-        let mut memo: FastMap<Bdd, f64> = FastMap::default();
-        let total_levels = self.num_vars() as u32;
-        self.sat_count_rec(f, 0, total_levels, &mut memo)
-    }
-
-    fn sat_count_rec(
-        &self,
-        f: Bdd,
-        level: u32,
-        total_levels: u32,
-        memo: &mut FastMap<Bdd, f64>,
-    ) -> f64 {
-        let f_level = self.level_of_ref(f).min(total_levels);
-        let skipped = f_level - level;
-        let base = if f.is_true() {
-            1.0
-        } else if f.is_false() {
-            0.0
-        } else {
-            if let Some(&c) = memo.get(&f) {
-                return c * 2f64.powi(skipped as i32);
-            }
-            let (f1, f0) = self.cofactors(f, f_level);
-            let c1 = self.sat_count_rec(f1, f_level + 1, total_levels, memo);
-            let c0 = self.sat_count_rec(f0, f_level + 1, total_levels, memo);
-            let c = c1 + c0;
-            memo.insert(f, c);
-            c
-        };
-        base * 2f64.powi(skipped as i32)
     }
 
     /// Returns the set of variables `f` depends on.
@@ -1533,17 +1488,6 @@ mod tests {
         }
         assert!(m.eval(f, &assignment));
         assert!(m.pick_sat(Bdd::FALSE).is_none());
-    }
-
-    #[test]
-    fn sat_count() {
-        let (mut m, v) = setup(3);
-        let f = m.and(v[0], v[1]);
-        assert_eq!(m.sat_count(f), 2.0); // v2 free
-        assert_eq!(m.sat_count(Bdd::TRUE), 8.0);
-        assert_eq!(m.sat_count(Bdd::FALSE), 0.0);
-        let x = m.xor(v[0], v[2]);
-        assert_eq!(m.sat_count(x), 4.0);
     }
 
     #[test]

@@ -126,14 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn sat_count_matches_truth_table(e in arb_expr()) {
-        let (mut mgr, vars) = setup();
-        let f = build_bdd(&mut mgr, &vars, &e);
-        let expect = truth_table(&e).iter().filter(|&&b| b).count() as f64;
-        prop_assert_eq!(mgr.sat_count(f), expect);
-    }
-
-    #[test]
     fn constrain_and_restrict_agree_on_care_set(f_e in arb_expr(), c_e in arb_expr()) {
         let (mut mgr, vars) = setup();
         let f = build_bdd(&mut mgr, &vars, &f_e);

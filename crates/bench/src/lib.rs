@@ -80,7 +80,7 @@ pub fn json_requested() -> bool {
 /// The payload is wrapped in a schema-versioned envelope (see DESIGN.md):
 ///
 /// ```json
-/// { "schema_version": 2, "experiment": "...", "format": {...}, "data": ... }
+/// { "schema_version": 4, "experiment": "...", "format": {...}, "data": ... }
 /// ```
 pub fn maybe_write_json(
     experiment: &str,

@@ -45,7 +45,7 @@ use crate::cases::{enumerate_cases, CaseClass, CaseId};
 use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::mutate::{inject_fault, Mutation, MutationKind};
+use crate::mutate::{fault_candidates, inject_fault, Mutation, MutationKind};
 use crate::runner::{CancellationToken, Verdict};
 use crate::sequential::{engine_view, probe_constraints};
 use crate::session::Session;
@@ -335,9 +335,9 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     // preserve names, not node ids.
     let probes = probe_constraints(&mut base, op, &enumerate_cases(cfg, op));
 
-    // Candidate faults: AND gates in the implementation's *sequential*
-    // cone (through pipeline registers) that feed neither the reference
-    // FPU nor the constraint logic — mutating those would corrupt the
+    // Candidate faults: the implementation outputs' fault candidates
+    // (through pipeline registers) that feed neither the reference FPU nor
+    // the constraint logic — mutating those would corrupt the
     // specification, not the design under test.
     let gather = |w: &fmaverify_netlist::Word, f: &fmaverify_netlist::Word| -> Vec<Signal> {
         w.bits().iter().chain(f.bits()).copied().collect()
@@ -349,18 +349,11 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         .flat_map(|(_, names)| names.iter())
         .map(|n| base.netlist.find_probe(n).expect("probe"))
         .collect();
-    let in_impl = base.netlist.seq_cone(&impl_roots);
     let in_ref = base.netlist.seq_cone(&ref_roots);
     let in_parts = base.netlist.seq_cone(&part_roots);
-    let targets: Vec<NodeId> = base
-        .netlist
-        .node_ids()
-        .filter(|id| {
-            in_impl[id.index()]
-                && !in_ref[id.index()]
-                && !in_parts[id.index()]
-                && matches!(base.netlist.node(*id), Node::And(..))
-        })
+    let targets: Vec<NodeId> = fault_candidates(&base.netlist, &impl_roots)
+        .into_iter()
+        .filter(|id| !in_ref[id.index()] && !in_parts[id.index()])
         .collect();
     assert!(
         !targets.is_empty(),

@@ -137,10 +137,7 @@ pub use isolation::{
     prove_multiplier_soundness_for, SoundnessResult,
 };
 pub use json::{JsonValue, ToJson, SCHEMA_VERSION};
-pub use mutate::{
-    fault_candidates, inject_fault, random_fault, random_fault_in, CandidateScope, Mutation,
-    MutationKind,
-};
+pub use mutate::{fault_candidates, inject_fault, random_fault, Mutation, MutationKind};
 pub use order::{naive_order, paper_order};
 pub use report::{render_table1, summarize, table1_rows, TableRow};
 pub use runner::{

@@ -81,61 +81,27 @@ pub fn inject_fault(netlist: &Netlist, target: NodeId, kind: MutationKind) -> Ne
     out
 }
 
-/// Which cone of influence candidate gates are drawn from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CandidateScope {
-    /// The combinational cone only: traversal stops at latch boundaries,
-    /// so gates feeding a pipeline register are out of reach. Use this when
-    /// the fault must stay in the same clock cycle as the observation
-    /// points (e.g. the cache fingerprint-sensitivity tests).
-    Comb,
-    /// The sequential cone: traversal continues through latch next-state
-    /// functions, reaching every gate that can influence the observation
-    /// points in *any* cycle. This is the right scope for pipelined
-    /// implementations.
-    Seq,
-}
-
 /// The AND gates eligible for fault injection: every AND node in the
-/// `scope` cone of `within`.
-pub fn fault_candidates(
-    netlist: &Netlist,
-    within: &[Signal],
-    scope: CandidateScope,
-) -> Vec<NodeId> {
-    let cone = match scope {
-        CandidateScope::Comb => netlist.comb_cone(within),
-        CandidateScope::Seq => netlist.seq_cone(within),
-    };
+/// sequential cone of `within`. The traversal continues through latch
+/// next-state functions, so on a pipelined implementation the gates behind
+/// a register are candidates too; on a combinational netlist this is the
+/// combinational cone.
+pub fn fault_candidates(netlist: &Netlist, within: &[Signal]) -> Vec<NodeId> {
+    let cone = netlist.seq_cone(within);
     netlist
         .node_ids()
         .filter(|id| cone[id.index()] && matches!(netlist.node(*id), Node::And(..)))
         .collect()
 }
 
-/// Picks a random AND node inside the *sequential* cone of `within` and
+/// Picks a random AND node among the [`fault_candidates`] of `within` and
 /// injects a random fault. Returns the mutated netlist and a description of
 /// the fault.
 ///
-/// Earlier revisions sampled from the combinational cone, which on a
-/// pipelined implementation silently excluded every gate behind a latch;
-/// use [`random_fault_in`] with [`CandidateScope::Comb`] to get that
-/// behavior on purpose.
-pub fn random_fault(netlist: &Netlist, within: &[Signal], seed: u64) -> (Netlist, Mutation) {
-    random_fault_in(netlist, within, CandidateScope::Seq, seed)
-}
-
-/// [`random_fault`] with an explicit candidate [`CandidateScope`].
-///
 /// # Panics
-/// Panics if the chosen cone contains no AND gates.
-pub fn random_fault_in(
-    netlist: &Netlist,
-    within: &[Signal],
-    scope: CandidateScope,
-    seed: u64,
-) -> (Netlist, Mutation) {
-    let candidates = fault_candidates(netlist, within, scope);
+/// Panics if the cone contains no AND gates.
+pub fn random_fault(netlist: &Netlist, within: &[Signal], seed: u64) -> (Netlist, Mutation) {
+    let candidates = fault_candidates(netlist, within);
     assert!(!candidates.is_empty(), "cone contains no AND gates");
     let mut rng = StdRng::seed_from_u64(seed);
     let node = candidates[rng.gen_range(0..candidates.len())];
@@ -211,21 +177,20 @@ mod tests {
     #[test]
     fn seq_scope_reaches_gates_behind_latches() {
         let (n, stage, out) = pipelined_toy();
-        let comb = fault_candidates(&n, &[out], CandidateScope::Comb);
-        let seq = fault_candidates(&n, &[out], CandidateScope::Seq);
+        let comb = n.comb_cone(&[out]);
+        let candidates = fault_candidates(&n, &[out]);
         assert!(
-            !comb.contains(&stage.node()),
-            "comb scope must stop at the latch"
+            !comb[stage.node().index()],
+            "the combinational cone stops at the latch"
         );
         assert!(
-            seq.contains(&stage.node()),
-            "seq scope must traverse the latch next-state"
+            candidates.contains(&stage.node()),
+            "candidates must traverse the latch next-state"
         );
-        assert!(seq.len() > comb.len());
 
-        // The default `random_fault` can now land behind the latch: on a
-        // netlist whose only AND feeds a register, the old comb-cone
-        // sampling had nothing to pick from.
+        // `random_fault` can land behind the latch: on a netlist whose
+        // only AND feeds a register, the combinational cone has nothing to
+        // pick from.
         let mut m = Netlist::new();
         let x = m.input("x");
         let y = m.input("y");
@@ -233,7 +198,7 @@ mod tests {
         let g = m.and(x, y);
         m.set_latch_next(r, g);
         m.output("r", r);
-        assert!(fault_candidates(&m, &[r], CandidateScope::Comb).is_empty());
+        assert!(!m.comb_cone(&[r])[g.node().index()]);
         let (_, fault) = random_fault(&m, &[r], 3);
         assert_eq!(fault.node, g.node());
     }

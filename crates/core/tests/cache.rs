@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fmaverify::{
-    build_harness, random_fault_in, CacheMode, CandidateScope, CaseId, Fingerprint, HarnessOptions,
-    ProofCache, RunConfig, SchedulePolicy, Session, ToJson, Verdict,
+    build_harness, random_fault, CacheMode, CaseId, Fingerprint, HarnessOptions, ProofCache,
+    RunConfig, SchedulePolicy, Session, ToJson, Verdict,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
@@ -99,12 +99,12 @@ fn netlist_mutation_changes_the_fingerprint() {
 
     // Flip one gate in the miter's cone. `inject_fault` rebuilds the
     // netlist, so the miter and constraint parts are recovered by name.
-    // The combinational scope is deliberate: this test is about the same-
-    // cycle COI that the fingerprint hashes, not pipeline depth.
+    // The default harness is combinational, so the fault lands in the
+    // same-cycle COI that the fingerprint hashes.
     for (i, p) in clean_parts.iter().enumerate() {
         h.netlist.probe(format!("fp#{i}"), *p);
     }
-    let (mutated, _fault) = random_fault_in(&h.netlist, &[h.miter], CandidateScope::Comb, 7);
+    let (mutated, _fault) = random_fault(&h.netlist, &[h.miter], 7);
     h.miter = mutated.find_output("miter").expect("miter output");
     let faulty_parts: Vec<Signal> = (0..clean_parts.len())
         .map(|i| mutated.find_probe(&format!("fp#{i}")).expect("probe"))
@@ -136,8 +136,7 @@ fn cached_failure_replays_counterexample_on_mutant() {
     for (i, p) in parts.iter().enumerate() {
         harness.netlist.probe(format!("mutant#{i}"), *p);
     }
-    let (mutated, _fault) =
-        random_fault_in(&harness.netlist, &[harness.miter], CandidateScope::Comb, 11);
+    let (mutated, _fault) = random_fault(&harness.netlist, &[harness.miter], 11);
     harness.miter = mutated.find_output("miter").expect("miter output");
     let parts: Vec<Signal> = (0..parts.len())
         .map(|i| mutated.find_probe(&format!("mutant#{i}")).expect("probe"))

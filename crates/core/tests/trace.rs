@@ -149,6 +149,10 @@ fn counters_aggregate_across_scheduler_threads() {
     assert!(metrics.get(Counter::BddIteCalls) > 0);
     assert!(metrics.get(Counter::SatPropagations) > 0);
     assert!(metrics.get(Counter::BddNodesAllocated) > 0);
+    // The kernel's table and collector counters reach the trace too.
+    assert!(metrics.get(Counter::BddCacheEvictions) > 0);
+    assert!(metrics.get(Counter::BddUniqueProbes) > 0);
+    assert!(metrics.get(Counter::BddGcFreed) > 0);
 }
 
 #[test]
