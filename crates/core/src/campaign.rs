@@ -3,8 +3,9 @@
 //! The paper's headline evidence that the flow works is that it "found
 //! dozens of high-quality bugs" in the industrial FMA FPU. This module
 //! turns that claim into a measurable regression metric: it enumerates
-//! single-gate mutants over the implementation FPU's *sequential* cone of
-//! influence (so faults behind pipeline registers are reachable), runs
+//! single-gate mutants over the harness's [`crate::fault_targets`] — the
+//! implementation FPU's *sequential* cone of influence, so faults behind
+//! pipeline registers are reachable — runs
 //! every mutant through the existing case-split verification on the
 //! work-stealing scheduler, and classifies each one:
 //!
@@ -37,7 +38,7 @@
 use std::time::{Duration, Instant};
 
 use fmaverify_fpu::{FpuConfig, FpuOp};
-use fmaverify_netlist::{BitSim, Node, NodeId, Signal};
+use fmaverify_netlist::{BitSim, Node};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,9 +46,9 @@ use crate::cases::{enumerate_cases, CaseClass, CaseId};
 use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
-use crate::mutate::{fault_candidates, inject_fault, Mutation, MutationKind};
+use crate::mutate::{fault_targets, inject_fault, Mutation, MutationKind};
 use crate::runner::{CancellationToken, Verdict};
-use crate::sequential::{engine_view, probe_constraints};
+use crate::sequential::{engine_view, find_constraints, probe_constraints};
 use crate::session::Session;
 use crate::trace::{Counter, SpanKind};
 
@@ -335,26 +336,9 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     // preserve names, not node ids.
     let probes = probe_constraints(&mut base, op, &enumerate_cases(cfg, op));
 
-    // Candidate faults: the implementation outputs' fault candidates
-    // (through pipeline registers) that feed neither the reference FPU nor
-    // the constraint logic — mutating those would corrupt the
-    // specification, not the design under test.
-    let gather = |w: &fmaverify_netlist::Word, f: &fmaverify_netlist::Word| -> Vec<Signal> {
-        w.bits().iter().chain(f.bits()).copied().collect()
-    };
-    let impl_roots = gather(&base.impl_fpu.outputs.result, &base.impl_fpu.outputs.flags);
-    let ref_roots = gather(&base.ref_fpu.outputs.result, &base.ref_fpu.outputs.flags);
-    let part_roots: Vec<Signal> = probes
-        .iter()
-        .flat_map(|(_, names)| names.iter())
-        .map(|n| base.netlist.find_probe(n).expect("probe"))
-        .collect();
-    let in_ref = base.netlist.seq_cone(&ref_roots);
-    let in_parts = base.netlist.seq_cone(&part_roots);
-    let targets: Vec<NodeId> = fault_candidates(&base.netlist, &impl_roots)
-        .into_iter()
-        .filter(|id| !in_ref[id.index()] && !in_parts[id.index()])
-        .collect();
+    // Faults go into the implementation's exclusive logic, never into the
+    // reference FPU or the constraint logic.
+    let targets = fault_targets(&base, &find_constraints(&base.netlist, &probes));
     assert!(
         !targets.is_empty(),
         "implementation cone contains no candidate gates"

@@ -95,8 +95,6 @@ pub struct BddOutcome {
     pub counterexample: Option<HashMap<String, bool>>,
     /// Peak allocated BDD nodes during the run.
     pub peak_nodes: usize,
-    /// Live (reachable) nodes at the end.
-    pub final_nodes: usize,
     /// Nodes in the care-set BDD.
     pub care_nodes: usize,
     /// Wall-clock duration.
@@ -182,8 +180,7 @@ pub fn check_miter_bdd_sequential(
         if sim.care.is_false() {
             // Empty care set: the case is trivially discharged (the
             // paper's C_sha/rest case).
-            let final_nodes = sim.mgr.reachable_count(&[sim.care]);
-            return sim.outcome(true, final_nodes, 1);
+            return sim.outcome(true, 1);
         }
         sim.care = sim.mgr.gc(&[sim.care])[0];
     }
@@ -207,10 +204,9 @@ pub fn check_miter_bdd_sequential(
         return sim.aborted(care_nodes);
     };
     let bad = sim.mgr.and(edge(&values, miter), sim.care);
-    let final_nodes = sim.mgr.reachable_count(&[bad, sim.care]);
     BddOutcome {
         counterexample: (!bad.is_false()).then(|| sim.counterexample(bad)),
-        ..sim.outcome(bad.is_false(), final_nodes, care_nodes)
+        ..sim.outcome(bad.is_false(), care_nodes)
     }
 }
 
@@ -412,12 +408,11 @@ impl<'a> Simulation<'a> {
             .collect()
     }
 
-    fn outcome(&self, holds: bool, final_nodes: usize, care_nodes: usize) -> BddOutcome {
+    fn outcome(&self, holds: bool, care_nodes: usize) -> BddOutcome {
         BddOutcome {
             holds,
             counterexample: None,
             peak_nodes: self.mgr.stats().peak_allocated,
-            final_nodes,
             care_nodes,
             duration: self.start.elapsed(),
             aborted: false,
@@ -428,7 +423,7 @@ impl<'a> Simulation<'a> {
     fn aborted(&self, care_nodes: usize) -> BddOutcome {
         BddOutcome {
             aborted: true,
-            ..self.outcome(false, self.mgr.stats().allocated, care_nodes)
+            ..self.outcome(false, care_nodes)
         }
     }
 }
@@ -490,7 +485,7 @@ mod tests {
     use crate::cases::{enumerate_cases, CaseId};
     use crate::harness::{build_harness, HarnessOptions};
     use crate::order::paper_order;
-    use crate::sequential::{engine_view, probe_constraints};
+    use crate::sequential::{engine_view, find_constraints, probe_constraints};
     use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
     use fmaverify_softfloat::FpFormat;
 
@@ -987,16 +982,13 @@ mod tests {
     #[test]
     fn sequential_engine_finds_pipelined_bugs() {
         let mut harness = pipelined_harness();
-        let parts_all =
-            harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
-        for (i, p) in parts_all.iter().enumerate() {
-            harness.netlist.probe(format!("seqbug#{i}"), *p);
-        }
+        let case = CaseId::OverlapNoCancel { delta: 3 };
+        let probes = probe_constraints(&mut harness, FpuOp::Fma, &[case]);
         let mutated = register_fault(&harness.netlist);
         let miter = mutated.find_output("miter").expect("miter");
-        let parts: Vec<Signal> = (0..parts_all.len())
-            .map(|i| mutated.find_probe(&format!("seqbug#{i}")).expect("probe"))
-            .collect();
+        // The sequential engine checks the mutant itself, not its unrolled
+        // view, so the parts are located in the mutant.
+        let parts = find_constraints(&mutated, &probes);
         let out = check_miter_bdd_sequential(
             &mutated,
             miter,

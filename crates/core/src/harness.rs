@@ -32,13 +32,10 @@ pub struct StConstant {
 pub struct HarnessOptions {
     /// Replace the multiplier by constrained pseudo-inputs (Figure 1).
     pub isolate_multiplier: bool,
-    /// Include the IEEE flags in the miter (the paper compares "the
-    /// results"; flags are part of the architected result).
-    pub compare_flags: bool,
     /// Pipelining of the implementation FPU. [`crate::Session::run`]
     /// unrolls a pipelined harness to its latency before the engines run;
     /// callers of [`crate::Session::run_prepared`] unroll it themselves
-    /// with [`crate::sequential::unroll_harness`] and [`Harness::rebind`].
+    /// with [`crate::sequential::engine_view`].
     pub pipeline: PipelineMode,
     /// Implementation-specific `S'`,`T'` rules (hot-one constants) to fold
     /// into the multiplier constraint.
@@ -49,7 +46,6 @@ impl Default for HarnessOptions {
     fn default() -> Self {
         HarnessOptions {
             isolate_multiplier: true,
-            compare_flags: true,
             pipeline: PipelineMode::Combinational,
             st_constants: Vec::new(),
         }
@@ -103,18 +99,15 @@ pub fn build_harness(cfg: &FpuConfig, options: HarnessOptions) -> Harness {
     let ref_fpu = build_ref_fpu(&mut n, cfg, &inputs, ref_product);
     let impl_fpu = build_impl_fpu(&mut n, cfg, &inputs, impl_mult, options.pipeline);
 
+    // The miter compares the results and the IEEE flags: the paper
+    // compares "the results", and the flags are part of the architected
+    // result.
     let miter = {
-        let res_diff = {
-            let d = n.xor_word(&ref_fpu.outputs.result, &impl_fpu.outputs.result);
-            n.or_reduce(&d)
-        };
-        if options.compare_flags {
-            let fd = n.xor_word(&ref_fpu.outputs.flags, &impl_fpu.outputs.flags);
-            let fdr = n.or_reduce(&fd);
-            n.or(res_diff, fdr)
-        } else {
-            res_diff
-        }
+        let d = n.xor_word(&ref_fpu.outputs.result, &impl_fpu.outputs.result);
+        let res_diff = n.or_reduce(&d);
+        let fd = n.xor_word(&ref_fpu.outputs.flags, &impl_fpu.outputs.flags);
+        let flags_diff = n.or_reduce(&fd);
+        n.or(res_diff, flags_diff)
     };
     n.output("miter", miter);
 

@@ -42,7 +42,11 @@
 //! * [`json`] — machine-readable (JSON) result serialization, emitter and
 //!   parser;
 //! * [`cec`] — combinational equivalence checking via SAT sweeping;
-//! * [`mutate`] — fault injection for verifying the verifier.
+//! * [`sequential`] — the one way a pipelined harness or a mutant reaches
+//!   the engines: constraints named as probes, re-located in the
+//!   (unrolled) netlist the engines check;
+//! * [`mutate`] — fault injection for verifying the verifier: the one
+//!   fault-site rule ([`fault_targets`]) and the single-gate mutators.
 //!
 //! # Examples
 //!
@@ -137,7 +141,7 @@ pub use isolation::{
     prove_multiplier_soundness_for, SoundnessResult,
 };
 pub use json::{JsonValue, ToJson, SCHEMA_VERSION};
-pub use mutate::{fault_candidates, inject_fault, random_fault, Mutation, MutationKind};
+pub use mutate::{fault_targets, inject_fault, Mutation, MutationKind};
 pub use order::{naive_order, paper_order};
 pub use report::{render_table1, summarize, table1_rows, TableRow};
 pub use runner::{
@@ -145,7 +149,9 @@ pub use runner::{
     SchedulePolicy, Verdict,
 };
 pub use semi_formal::{semi_formal_check, SemiFormalOutcome};
-pub use sequential::{unroll_harness, UnrolledHarness};
+pub use sequential::{
+    engine_view, find_constraints, probe_constraints, unroll_harness, UnrolledHarness,
+};
 pub use session::Session;
 pub use trace::{Counter, MetricSet, Span, SpanKind, TraceEvent, Tracer};
 

@@ -4,10 +4,17 @@
 //! our reproduction has the same bug-finding power, these mutators inject
 //! single-gate faults into a netlist (polarity flips, gate-type swaps, stuck
 //! nodes), after which the verification flow must produce a counterexample.
+//!
+//! Every bug hunt takes the same path: pick a site among the harness's
+//! [`fault_targets`], [`inject_fault`], turn the mutant into the harness
+//! the engines check with [`crate::sequential::engine_view`], and verify it
+//! with [`crate::Session::run_prepared`], which decodes and replays any
+//! counterexample.
 
+use fmaverify_fpu::FpuOutputs;
 use fmaverify_netlist::{Netlist, Node, NodeId, Signal};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::harness::Harness;
 
 /// The kind of single-gate fault to inject.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,38 +88,46 @@ pub fn inject_fault(netlist: &Netlist, target: NodeId, kind: MutationKind) -> Ne
     out
 }
 
-/// The AND gates eligible for fault injection: every AND node in the
-/// sequential cone of `within`. The traversal continues through latch
-/// next-state functions, so on a pipelined implementation the gates behind
-/// a register are candidates too; on a combinational netlist this is the
-/// combinational cone.
-pub fn fault_candidates(netlist: &Netlist, within: &[Signal]) -> Vec<NodeId> {
-    let cone = netlist.seq_cone(within);
+/// The fault sites of a harness: every AND gate in the sequential cone of
+/// the implementation FPU's result and flags that feeds neither the
+/// reference FPU's result and flags nor the `constraints` (the case
+/// constraint parts) — mutating those would corrupt the specification, not
+/// the design under test. The traversal continues through latch next-state
+/// functions, so on a pipelined implementation the gates behind a register
+/// are sites too; on a combinational netlist this is the combinational
+/// cone. Sites come in node order.
+///
+/// This is the one rule for where a fault may go: [`crate::run_campaign`]
+/// and every bug hunt draw their mutants from it.
+pub fn fault_targets(base: &Harness, constraints: &[Signal]) -> Vec<NodeId> {
+    let roots = |fpu: &FpuOutputs| -> Vec<Signal> {
+        fpu.result
+            .bits()
+            .iter()
+            .chain(fpu.flags.bits())
+            .copied()
+            .collect()
+    };
+    let netlist = &base.netlist;
+    let in_impl = netlist.seq_cone(&roots(&base.impl_fpu.outputs));
+    let in_ref = netlist.seq_cone(&roots(&base.ref_fpu.outputs));
+    let in_parts = netlist.seq_cone(constraints);
     netlist
         .node_ids()
-        .filter(|id| cone[id.index()] && matches!(netlist.node(*id), Node::And(..)))
+        .filter(|id| {
+            let i = id.index();
+            in_impl[i] && !in_ref[i] && !in_parts[i] && matches!(netlist.node(*id), Node::And(..))
+        })
         .collect()
-}
-
-/// Picks a random AND node among the [`fault_candidates`] of `within` and
-/// injects a random fault. Returns the mutated netlist and a description of
-/// the fault.
-///
-/// # Panics
-/// Panics if the cone contains no AND gates.
-pub fn random_fault(netlist: &Netlist, within: &[Signal], seed: u64) -> (Netlist, Mutation) {
-    let candidates = fault_candidates(netlist, within);
-    assert!(!candidates.is_empty(), "cone contains no AND gates");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let node = candidates[rng.gen_range(0..candidates.len())];
-    let kind = MutationKind::ALL[rng.gen_range(0..MutationKind::ALL.len())];
-    (inject_fault(netlist, node, kind), Mutation { node, kind })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{build_harness, HarnessOptions};
+    use fmaverify_fpu::{DenormalMode, FpuConfig, PipelineMode};
     use fmaverify_netlist::BitSim;
+    use fmaverify_softfloat::FpFormat;
 
     #[test]
     fn mutation_changes_function() {
@@ -123,11 +138,8 @@ mod tests {
         for (i, &bit) in s.bits().iter().enumerate() {
             n.output(format!("s[{i}]"), bit);
         }
-        let (mutated, mutation) = random_fault(&n, s.bits(), 99);
-        assert!(matches!(
-            n.node(mutation.node),
-            fmaverify_netlist::Node::And(..)
-        ));
+        // Turn the gate that drives the top sum bit into an OR.
+        let mutated = inject_fault(&n, s.bits()[3].node(), MutationKind::AndToOr);
         // Some input pattern must now disagree with the original.
         let mut diff = false;
         'outer: for va in 0..16u128 {
@@ -160,7 +172,7 @@ mod tests {
 
     /// A two-cycle toy pipeline: `stage = a AND b` is registered, and the
     /// output reads the register through logic and an inverted edge.
-    fn pipelined_toy() -> (Netlist, Signal, Signal) {
+    fn pipelined_toy() -> (Netlist, Signal) {
         let mut n = Netlist::new();
         let a = n.input("a");
         let b = n.input("b");
@@ -168,44 +180,49 @@ mod tests {
         let stage = n.and(a, b);
         n.set_latch_next(l, stage);
         let q = n.and(l, a);
-        let out = !q;
-        n.output("q", out);
+        n.output("q", !q);
         n.probe("stage", stage);
-        (n, stage, out)
+        (n, stage)
     }
 
     #[test]
     fn seq_scope_reaches_gates_behind_latches() {
-        let (n, stage, out) = pipelined_toy();
-        let comb = n.comb_cone(&[out]);
-        let candidates = fault_candidates(&n, &[out]);
-        assert!(
-            !comb[stage.node().index()],
-            "the combinational cone stops at the latch"
+        // The pipelined FPU registers its result and flags, so their
+        // combinational cone stops at the last stage boundary; the fault
+        // sites reach through the registers into the datapath.
+        let cfg = FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        };
+        let h = build_harness(
+            &cfg,
+            HarnessOptions {
+                isolate_multiplier: false,
+                pipeline: PipelineMode::ThreeStage,
+                ..HarnessOptions::default()
+            },
         );
+        let targets = fault_targets(&h, &[]);
+        let outputs = &h.impl_fpu.outputs;
+        let roots: Vec<Signal> = outputs
+            .result
+            .bits()
+            .iter()
+            .chain(outputs.flags.bits())
+            .copied()
+            .collect();
+        let comb = h.netlist.comb_cone(&roots);
+        let behind = targets.iter().filter(|id| !comb[id.index()]).count();
         assert!(
-            candidates.contains(&stage.node()),
-            "candidates must traverse the latch next-state"
+            2 * behind > targets.len(),
+            "{behind} of {} fault sites lie behind a register",
+            targets.len()
         );
-
-        // `random_fault` can land behind the latch: on a netlist whose
-        // only AND feeds a register, the combinational cone has nothing to
-        // pick from.
-        let mut m = Netlist::new();
-        let x = m.input("x");
-        let y = m.input("y");
-        let r = m.latch(false);
-        let g = m.and(x, y);
-        m.set_latch_next(r, g);
-        m.output("r", r);
-        assert!(!m.comb_cone(&[r])[g.node().index()]);
-        let (_, fault) = random_fault(&m, &[r], 3);
-        assert_eq!(fault.node, g.node());
     }
 
     #[test]
     fn sequential_fault_remaps_latch_next_state() {
-        let (n, stage, _) = pipelined_toy();
+        let (n, stage) = pipelined_toy();
         let m = inject_fault(&n, stage.node(), MutationKind::InvertOutput);
         assert_eq!(m.num_latches(), n.num_latches(), "latches preserved");
         assert!(

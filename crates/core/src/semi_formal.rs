@@ -120,9 +120,9 @@ mod tests {
     use super::*;
     use crate::cases::CaseId;
     use crate::harness::{build_harness, HarnessOptions};
-    use crate::mutate::{inject_fault, MutationKind};
+    use crate::mutate::{fault_targets, inject_fault, MutationKind};
+    use crate::sequential::{engine_view, find_constraints, probe_constraints};
     use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
-    use fmaverify_netlist::Node;
     use fmaverify_softfloat::FpFormat;
 
     fn tiny() -> FpuConfig {
@@ -181,39 +181,24 @@ mod tests {
             },
         );
         let case = CaseId::OverlapNoCancel { delta: 1 };
-        let parts = h.case_constraint_parts(FpuOp::Fma, case);
-        for (i, p) in parts.iter().enumerate() {
-            h.netlist.probe(format!("sf#{i}"), *p);
-        }
+        let probes = probe_constraints(&mut h, FpuOp::Fma, &[case]);
         // Find a fault observable under this very constraint by trying
-        // candidates until the semi-formal search trips one.
-        let impl_cone = h.netlist.comb_cone(h.impl_fpu.outputs.result.bits());
-        let ref_cone = h.netlist.comb_cone(h.ref_fpu.outputs.result.bits());
-        let candidates: Vec<_> = h
-            .netlist
-            .node_ids()
-            .filter(|id| {
-                impl_cone[id.index()]
-                    && !ref_cone[id.index()]
-                    && matches!(h.netlist.node(*id), Node::And(..))
-            })
-            .collect();
+        // fault sites until the semi-formal search trips one.
+        let targets = fault_targets(&h, &find_constraints(&h.netlist, &probes));
         let mut found = false;
-        for (k, &target) in candidates.iter().enumerate().step_by(11) {
+        for (k, &target) in targets.iter().enumerate().step_by(11) {
             let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);
-            let miter = mutated.find_output("miter").expect("miter");
-            let parts: Vec<Signal> = (0..parts.len())
-                .map(|i| mutated.find_probe(&format!("sf#{i}")).expect("probe"))
-                .collect();
-            let out = semi_formal_check(&mutated, miter, &parts, 300, k as u64);
+            let (view, constraints) = engine_view(&h, mutated, &probes);
+            let out =
+                semi_formal_check(&view.netlist, view.miter, &constraints[0].1, 300, k as u64);
             if let Some(vector) = out.failure {
                 // Replay.
-                let mut sim = BitSim::new(&mutated);
+                let mut sim = BitSim::new(&view.netlist);
                 for (name, v) in &vector {
-                    sim.set(mutated.find_input(name).expect("input"), *v);
+                    sim.set(view.netlist.find_input(name).expect("input"), *v);
                 }
                 sim.eval();
-                assert!(sim.get(miter));
+                assert!(sim.get(view.miter));
                 found = true;
                 break;
             }

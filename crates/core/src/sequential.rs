@@ -9,10 +9,12 @@
 //! of the paper's driver issuing a single instruction into an empty FPU —
 //! and the cycle-`L` miter is checked by the same BDD/SAT engines.
 //!
-//! This is the one way a pipelined harness reaches an engine:
-//! [`crate::Session::run`], [`crate::run_campaign`] and [`unroll_harness`]
-//! all name the case constraints as probes (`probe_constraints`) and
-//! re-locate them in the unrolled netlist (`engine_view`).
+//! This is the one way a pipelined harness or a mutant reaches an engine:
+//! [`crate::Session::run`], [`crate::run_campaign`], [`unroll_harness`] and
+//! every bug hunt name the case constraints as probes
+//! ([`probe_constraints`]) and re-locate them in the netlist the engines
+//! check ([`engine_view`]); [`find_constraints`] locates them in the
+//! probed netlist itself.
 
 use fmaverify_fpu::{FpuOp, PipelineMode};
 use fmaverify_netlist::{unroll, InputMode, Netlist, Signal};
@@ -66,7 +68,7 @@ pub fn unroll_harness(
 /// netlist (unrolling, fault injection) renumbers nodes but keeps names,
 /// and probe names lie outside the cone hash, so proof-cache fingerprints
 /// do not see them.
-pub(crate) fn probe_constraints(
+pub fn probe_constraints(
     harness: &mut Harness,
     op: FpuOp,
     cases: &[CaseId],
@@ -94,7 +96,7 @@ pub(crate) fn probe_constraints(
 /// its latency with the inputs held, a combinational one passes through.
 /// The harness is rebound to the result and the constraint parts named by
 /// `probes` ([`probe_constraints`]) are re-located by name.
-pub(crate) fn engine_view(
+pub fn engine_view(
     base: &Harness,
     netlist: Netlist,
     probes: &[(CaseId, Vec<String>)],
@@ -108,7 +110,29 @@ pub(crate) fn engine_view(
         }
     };
     let miter = netlist.find_output(&miter_name).expect("miter output");
-    let constraints = probes
+    let constraints = locate(&netlist, probes, suffix);
+    (base.rebind(netlist, miter), constraints)
+}
+
+/// Every case's constraint parts named by `probes` ([`probe_constraints`]),
+/// in the netlist they were probed in or a rebuilt copy of it that is not
+/// unrolled: e.g. the logic [`crate::fault_targets`] keeps the faults out
+/// of.
+pub fn find_constraints(netlist: &Netlist, probes: &[(CaseId, Vec<String>)]) -> Vec<Signal> {
+    locate(netlist, probes, "")
+        .into_iter()
+        .flat_map(|(_, parts)| parts)
+        .collect()
+}
+
+/// Looks up every probe name of `probes`, with `suffix` appended, in
+/// `netlist`.
+fn locate(
+    netlist: &Netlist,
+    probes: &[(CaseId, Vec<String>)],
+    suffix: &str,
+) -> Vec<(CaseId, Vec<Signal>)> {
+    probes
         .iter()
         .map(|(case, names)| {
             let parts = names
@@ -121,8 +145,7 @@ pub(crate) fn engine_view(
                 .collect();
             (*case, parts)
         })
-        .collect();
-    (base.rebind(netlist, miter), constraints)
+        .collect()
 }
 
 #[cfg(test)]

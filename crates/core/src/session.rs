@@ -205,10 +205,11 @@ impl Session {
     /// injection, custom case splits). The run gets its own `run` span and
     /// end-of-run totals event.
     ///
-    /// The harness must be combinational: unroll a pipelined one first
-    /// ([`crate::unroll_harness`], then [`Harness::rebind`]). Every case of
-    /// a netlist that still has registers gets [`crate::Verdict::Error`]
-    /// with [`crate::Error::SequentialNetlist`].
+    /// The harness must be combinational: turn a pipelined one (or a
+    /// mutant of one) into its unrolled view first
+    /// ([`crate::probe_constraints`], then [`crate::engine_view`]). Every
+    /// case of a netlist that still has registers gets
+    /// [`crate::Verdict::Error`] with [`crate::Error::SequentialNetlist`].
     pub fn run_prepared(
         &self,
         harness: &Harness,

@@ -7,8 +7,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use fmaverify::{
-    build_harness, random_fault, CacheMode, CaseId, Fingerprint, HarnessOptions, ProofCache,
-    RunConfig, SchedulePolicy, Session, ToJson, Verdict,
+    build_harness, engine_view, fault_targets, find_constraints, inject_fault, probe_constraints,
+    CacheMode, CaseId, Fingerprint, Harness, HarnessOptions, MutationKind, ProofCache, RunConfig,
+    SchedulePolicy, Session, ToJson, Verdict,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
@@ -83,35 +84,34 @@ fn warm_run_replays_cold_verdicts_and_stats() {
     }
 }
 
+/// The default harness with the constraint parts of `op`'s `case` named as
+/// probes, and the engine view of the mutant that inverts its first fault
+/// site (in node order), with the case's re-located constraint parts.
+fn mutant(op: FpuOp, case: CaseId) -> (Harness, Harness, Vec<(CaseId, Vec<Signal>)>) {
+    let mut h = build_harness(&tiny(), HarnessOptions::default());
+    let probes = probe_constraints(&mut h, op, &[case]);
+    let target = fault_targets(&h, &find_constraints(&h.netlist, &probes))[0];
+    let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);
+    let (view, constraints) = engine_view(&h, mutated, &probes);
+    (h, view, constraints)
+}
+
 #[test]
 fn netlist_mutation_changes_the_fingerprint() {
-    let cfg = tiny();
     let op = FpuOp::Mul;
     let case = CaseId::Monolithic;
-    let mut h = build_harness(&cfg, HarnessOptions::default());
-    let clean_parts = h.case_constraint_parts(op, case);
     let policy = SchedulePolicy::from_config(&RunConfig::default());
     let ladder = policy.ladder(op, case);
 
+    // The default harness is combinational, so the fault lands in the
+    // same-cycle cone of influence that the fingerprint hashes.
+    let (mut h, view, constraints) = mutant(op, case);
+    let clean_parts = h.case_constraint_parts(op, case);
     let clean_fp = Fingerprint::compute(&h, op, case, &clean_parts, ladder);
     let same_fp = Fingerprint::compute(&h, op, case, &clean_parts, ladder);
     assert_eq!(clean_fp, same_fp, "fingerprints must be deterministic");
 
-    // Flip one gate in the miter's cone. `inject_fault` rebuilds the
-    // netlist, so the miter and constraint parts are recovered by name.
-    // The default harness is combinational, so the fault lands in the
-    // same-cycle COI that the fingerprint hashes.
-    for (i, p) in clean_parts.iter().enumerate() {
-        h.netlist.probe(format!("fp#{i}"), *p);
-    }
-    let (mutated, _fault) = random_fault(&h.netlist, &[h.miter], 7);
-    h.miter = mutated.find_output("miter").expect("miter output");
-    let faulty_parts: Vec<Signal> = (0..clean_parts.len())
-        .map(|i| mutated.find_probe(&format!("fp#{i}")).expect("probe"))
-        .collect();
-    h.netlist = mutated;
-
-    let faulty_fp = Fingerprint::compute(&h, op, case, &faulty_parts, ladder);
+    let faulty_fp = Fingerprint::compute(&view, op, case, &constraints[0].1, ladder);
     assert_ne!(
         clean_fp, faulty_fp,
         "a mutated netlist must invalidate the cache"
@@ -127,41 +127,34 @@ fn cached_failure_replays_counterexample_on_mutant() {
 
     // ...then verify a mutated design with the same cache: the case must
     // MISS (different fingerprint) and re-prove rather than replay the
-    // clean design's proof.
-    let cfg = tiny();
+    // clean design's proof, which the fault breaks.
     let op = FpuOp::Mul;
-    let case = CaseId::Monolithic;
-    let mut harness = build_harness(&cfg, HarnessOptions::default());
-    let parts = harness.case_constraint_parts(op, case);
-    for (i, p) in parts.iter().enumerate() {
-        harness.netlist.probe(format!("mutant#{i}"), *p);
-    }
-    let (mutated, _fault) = random_fault(&harness.netlist, &[harness.miter], 11);
-    harness.miter = mutated.find_output("miter").expect("miter output");
-    let parts: Vec<Signal> = (0..parts.len())
-        .map(|i| mutated.find_probe(&format!("mutant#{i}")).expect("probe"))
-        .collect();
-    harness.netlist = mutated;
-    let constraints = vec![(case, parts)];
-
+    let (_, harness, constraints) = mutant(op, CaseId::Monolithic);
     let cold = session(&dir, CacheMode::ReadWrite).run_prepared(&harness, op, &constraints);
     assert!(
         cold.iter().all(|r| !r.cached),
         "mutant design must not reuse clean-design proofs"
     );
+    let cold_cex = cold[0].counterexample.as_ref();
+    assert_eq!(
+        cold[0].verdict,
+        Verdict::Fails,
+        "the fault must fail the case"
+    );
+    assert!(cold_cex.is_some_and(|c| c.replay_confirmed));
 
-    // A rerun of the *same* mutant replays its verdict — including any
-    // failure verdict's counterexample — from the cache.
+    // A rerun of the *same* mutant replays its failure verdict, and the
+    // counterexample with it, from the cache.
     let warm = session(&dir, CacheMode::ReadWrite).run_prepared(&harness, op, &constraints);
-    for (c, w) in cold.iter().zip(&warm) {
-        assert!(w.cached, "mutant rerun must replay from cache");
-        assert_eq!(c.verdict, w.verdict);
-        if c.verdict == Verdict::Fails {
-            let c_cex = c.counterexample.as_ref().expect("cold counterexample");
-            let w_cex = w.counterexample.as_ref().expect("warm counterexample");
-            assert_eq!(c_cex.to_json().render(), w_cex.to_json().render());
-        }
-    }
+    assert!(warm[0].cached, "mutant rerun must replay from cache");
+    assert_eq!(warm[0].verdict, Verdict::Fails);
+    assert_eq!(
+        cold_cex.map(|c| c.to_json().render()),
+        warm[0]
+            .counterexample
+            .as_ref()
+            .map(|c| c.to_json().render())
+    );
 }
 
 #[test]

@@ -64,7 +64,7 @@ pub use aiger::{parse_aiger, write_aiger, ParseAigerError};
 pub use gate::Gate;
 pub use hash::Sha256;
 pub use sim::{BitSim, ParallelSim};
-pub use sweep::{prove_equal, sat_sweep, SweepOptions, SweepResult};
+pub use sweep::{sat_sweep, SweepOptions, SweepResult};
 pub use tseitin::{encode_to_cnf, SatEncoder};
 pub use unroll::{unroll, InputMode, Unrolled};
 pub use vcd::{dump_counterexample, WaveRecorder};

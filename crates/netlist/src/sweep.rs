@@ -243,17 +243,6 @@ fn normalize_signature(sig: &[u64]) -> (Vec<u64>, bool) {
     }
 }
 
-/// Proves or refutes combinational equivalence of two signals in the same
-/// netlist using an unbudgeted SAT check. Returns `true` iff equivalent.
-pub fn prove_equal(netlist: &Netlist, a: Signal, b: Signal) -> bool {
-    let mut solver = Solver::new();
-    let mut enc = SatEncoder::new();
-    let la = enc.lit(netlist, &mut solver, a);
-    let lb = enc.lit(netlist, &mut solver, b);
-    solver.solve_with_assumptions(&[la, !lb]) == SolveResult::Unsat
-        && solver.solve_with_assumptions(&[!la, lb]) == SolveResult::Unsat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,22 +351,6 @@ mod tests {
             }
         }
         assert!(result.merged > 0, "adder/multiplier share low-order logic");
-    }
-
-    #[test]
-    fn prove_equal_works() {
-        let mut n = Netlist::new();
-        let a = n.input("a");
-        let b = n.input("b");
-        let x1 = n.xor(a, b);
-        let x2 = {
-            let o = n.or(a, b);
-            let na = n.and(a, b);
-            n.and(o, !na)
-        };
-        assert!(prove_equal(&n, x1, x2));
-        assert!(!prove_equal(&n, x1, a));
-        assert!(!prove_equal(&n, !x1, x2));
     }
 
     #[test]

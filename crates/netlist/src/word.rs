@@ -71,13 +71,6 @@ impl Word {
     pub fn truncate(&self, w: usize) -> Word {
         self.slice(0, w)
     }
-
-    /// Reverses bit order (MSB becomes LSB).
-    pub fn reversed(&self) -> Word {
-        let mut bits = self.bits.clone();
-        bits.reverse();
-        Word { bits }
-    }
 }
 
 impl Netlist {
@@ -632,12 +625,9 @@ mod tests {
         let lo = a.slice(0, 4);
         let re = lo.concat(&hi);
         assert_eq!(re.width(), 8);
-        let rev = a.reversed();
         output_word(&mut n, "re", &re);
-        output_word(&mut n, "rev", &rev);
         let outs = eval(&n, &[("a", 0b1010_0110, 8)]);
         assert_eq!(out_word(&outs, "re", 8), 0b1010_0110);
-        assert_eq!(out_word(&outs, "rev", 8), 0b0110_0101);
     }
 
     #[test]

@@ -146,16 +146,6 @@ pub enum LBool {
 }
 
 impl LBool {
-    /// Converts a `bool` into the corresponding defined value.
-    #[inline]
-    pub fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
     /// Logical negation; `Undef` stays `Undef`.
     #[inline]
     pub fn negate(self) -> LBool {
@@ -229,7 +219,6 @@ mod tests {
 
     #[test]
     fn lbool_ops() {
-        assert_eq!(LBool::from_bool(true), LBool::True);
         assert_eq!(LBool::True.negate(), LBool::False);
         assert_eq!(LBool::Undef.negate(), LBool::Undef);
         assert_eq!(LBool::True.xor(true), LBool::False);

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release -p fmaverify --example bughunt_regression`
 
 use fmaverify::{
-    build_harness, check_miter_bdd_parts, enumerate_cases, inject_fault, BddEngineOptions, CaseId,
-    HarnessOptions, MutationKind, SatEngineOptions,
+    build_harness, engine_view, enumerate_cases, fault_targets, find_constraints, inject_fault,
+    probe_constraints, HarnessOptions, MutationKind, RunConfig, Session, Verdict,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::{BitSim, Word};
@@ -18,9 +18,11 @@ fn main() {
         denormals: DenormalMode::FlushToZero,
     };
     let op = FpuOp::Fma;
+    let kind = MutationKind::InvertOutput;
     println!("== bug hunt at {:?} ==\n", cfg.format);
 
-    // Build the harness and materialize all case constraints as probes.
+    // Build the harness and name every case constraint as a probe, so the
+    // constraints survive fault injection.
     let mut base = build_harness(
         &cfg,
         HarnessOptions {
@@ -28,145 +30,89 @@ fn main() {
             ..HarnessOptions::default()
         },
     );
-    let cases = enumerate_cases(&cfg, op);
-    for case in &cases {
-        let parts = base.case_constraint_parts(op, *case);
-        for (i, p) in parts.iter().enumerate() {
-            base.netlist.probe(format!("case.{}#{i}", case.label()), *p);
-        }
-    }
+    let probes = probe_constraints(&mut base, op, &enumerate_cases(&cfg, op));
+    let parts = find_constraints(&base.netlist, &probes);
 
-    // Plant a fault: flip a gate in the implementation rounder cone.
-    let impl_cone = base.netlist.comb_cone(base.impl_fpu.outputs.result.bits());
-    let ref_cone = base.netlist.comb_cone(base.ref_fpu.outputs.result.bits());
-    let candidates: Vec<_> = base
-        .netlist
-        .node_ids()
-        .filter(|id| {
-            impl_cone[id.index()]
-                && !ref_cone[id.index()]
-                && matches!(base.netlist.node(*id), fmaverify_netlist::Node::And(..))
-        })
-        .collect();
-    // Walk candidate gates until an FMA-observable fault is found.
-    let mut chosen = None;
-    'search: for k in (0..candidates.len()).step_by(37) {
-        let target = candidates[k];
-        let mutated = inject_fault(&base.netlist, target, MutationKind::InvertOutput);
-        let miter = mutated.find_output("miter").expect("miter");
-        // Quick observability probe under FMA.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut sim = BitSim::new(&mutated);
-        let w = cfg.format.width() as usize;
-        let input_word = |n: &fmaverify_netlist::Netlist, p: &str, w: usize| {
-            Word::from_bits(
-                (0..w)
-                    .map(|i| n.find_input(&format!("{p}[{i}]")).expect("in"))
-                    .collect(),
-            )
-        };
-        let (wa, wb, wc) = (
-            input_word(&mutated, "a", w),
-            input_word(&mutated, "b", w),
-            input_word(&mutated, "c", w),
-        );
-        let wop = input_word(&mutated, "op", 3);
-        let wrm = input_word(&mutated, "rm", 2);
-        for _ in 0..4000 {
-            sim.set_word(&wa, rng.gen::<u128>() & cfg.format.mask());
-            sim.set_word(&wb, rng.gen::<u128>() & cfg.format.mask());
-            sim.set_word(&wc, rng.gen::<u128>() & cfg.format.mask());
-            sim.set_word(&wop, 0); // FMA
-            sim.set_word(&wrm, rng.gen_range(0..4));
-            sim.eval();
-            if sim.get(miter) {
-                chosen = Some((target, mutated, miter));
-                break 'search;
-            }
-        }
-    }
-    let (target, mutated, miter) = chosen.expect("an observable fault exists");
+    // Walk the implementation's fault sites until a planted fault fails a
+    // case; the session decodes and replays the counterexample.
+    let hunt = fault_targets(&base, &parts)
+        .into_iter()
+        .step_by(37)
+        .find_map(|target| {
+            let mutated = inject_fault(&base.netlist, target, kind);
+            let (view, constraints) = engine_view(&base, mutated, &probes);
+            let results = Session::new(&cfg)
+                .configure(RunConfig {
+                    stop_on_failure: true,
+                    ..RunConfig::default()
+                })
+                .run_prepared(&view, op, &constraints);
+            let fail = results.into_iter().find(|r| r.verdict == Verdict::Fails)?;
+            Some((target, view, fail))
+        });
+    let Some((target, view, fail)) = hunt else {
+        println!("no planted fault was observable under {op:?}");
+        std::process::exit(1);
+    };
+    let cex = fail
+        .counterexample
+        .expect("a failing case carries its counterexample");
+    assert!(cex.replay_confirmed, "the counterexample must replay");
+    let rm = RoundingMode::decode(cex.rm);
+    println!("injecting {kind:?} at node {target:?}");
+    println!("\ncase [{}] FAILS", fail.case.label());
     println!(
-        "injecting {:?} at node {target:?}",
-        MutationKind::InvertOutput
+        "  counterexample: a={} b={} c={} rm={rm:?}",
+        cfg.format.to_f64(cex.a),
+        cfg.format.to_f64(cex.b),
+        cfg.format.to_f64(cex.c),
     );
 
-    // Hunt through the cases.
-    for case in &cases {
-        let parts: Vec<_> = (0..4)
-            .map_while(|i| mutated.find_probe(&format!("case.{}#{i}", case.label())))
-            .collect();
-        let cex = match case {
-            CaseId::FarOut | CaseId::Monolithic => {
-                let out = fmaverify::check_miter_sat_parts(
-                    &mutated,
-                    miter,
-                    &parts,
-                    &SatEngineOptions::default(),
-                );
-                (!out.holds).then_some(out.counterexample).flatten()
-            }
-            _ => {
-                let out =
-                    check_miter_bdd_parts(&mutated, miter, &parts, &BddEngineOptions::default());
-                (!out.holds).then_some(out.counterexample).flatten()
-            }
-        };
-        let Some(assignment) = cex else {
-            continue;
-        };
-        // Decode and arbitrate.
-        let word = |prefix: &str, w: usize| -> u128 {
-            (0..w)
+    // Arbitrate: simulate both FPUs on the counterexample and ask the oracle.
+    let netlist = &view.netlist;
+    let word = |prefix: &str, width: usize, output: bool| {
+        Word::from_bits(
+            (0..width)
                 .map(|i| {
-                    u128::from(*assignment.get(&format!("{prefix}[{i}]")).unwrap_or(&false)) << i
+                    let name = format!("{prefix}[{i}]");
+                    let sig = if output {
+                        netlist.find_output(&name)
+                    } else {
+                        netlist.find_input(&name)
+                    };
+                    sig.expect("harness port")
                 })
-                .sum()
-        };
-        let w = cfg.format.width() as usize;
-        let (a, b, c) = (word("a", w), word("b", w), word("c", w));
-        let rm = RoundingMode::decode(word("rm", 2) as u32);
-        println!("\ncase [{}] FAILS", case.label());
-        println!(
-            "  counterexample: a={} b={} c={} rm={rm:?}",
-            cfg.format.to_f64(a),
-            cfg.format.to_f64(b),
-            cfg.format.to_f64(c),
-        );
-        let mut sim = BitSim::new(&mutated);
-        for (name, v) in &assignment {
-            if let Some(sig) = mutated.find_input(name) {
-                sim.set(sig, *v);
-            }
-        }
-        sim.eval();
-        let out_word = |prefix: &str| -> u128 {
-            let bits: Vec<_> = (0..w)
-                .map(|i| mutated.find_output(&format!("{prefix}[{i}]")).expect("out"))
-                .collect();
-            let word = Word::from_bits(bits);
-            sim.get_word(&word)
-        };
-        let ref_r = out_word("ref.result");
-        let impl_r = out_word("impl.result");
-        let oracle = FpuOp::Fma.apply(&cfg, a, b, c, rm);
-        println!(
-            "  reference: {}   implementation: {}   oracle: {}",
-            cfg.format.to_f64(ref_r),
-            cfg.format.to_f64(impl_r),
-            cfg.format.to_f64(oracle.bits),
-        );
-        println!(
-            "  verdict: the {} FPU is wrong",
-            if impl_r != oracle.bits {
-                "implementation"
-            } else {
-                "reference"
-            }
-        );
-        return;
+                .collect(),
+        )
+    };
+    let w = cfg.format.width() as usize;
+    let mut sim = BitSim::new(netlist);
+    for (prefix, width, value) in [
+        ("a", w, cex.a),
+        ("b", w, cex.b),
+        ("c", w, cex.c),
+        ("op", 3, u128::from(cex.op)),
+        ("rm", 2, u128::from(cex.rm)),
+    ] {
+        sim.set_word(&word(prefix, width, false), value);
     }
-    println!("fault was not observable under {op:?} (try another opcode)");
-    std::process::exit(1);
+    sim.eval();
+    let ref_r = sim.get_word(&word("ref.result", w, true));
+    let impl_r = sim.get_word(&word("impl.result", w, true));
+    let impl_f = sim.get_word(&word("impl.flags", 4, true)) as u32;
+    let oracle = op.apply(&cfg, cex.a, cex.b, cex.c, rm);
+    println!(
+        "  reference: {}   implementation: {}   oracle: {}",
+        cfg.format.to_f64(ref_r),
+        cfg.format.to_f64(impl_r),
+        cfg.format.to_f64(oracle.bits),
+    );
+    println!(
+        "  verdict: the {} FPU is wrong",
+        if impl_r != oracle.bits || impl_f != oracle.flags.encode() {
+            "implementation"
+        } else {
+            "reference"
+        }
+    );
 }

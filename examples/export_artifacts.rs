@@ -10,7 +10,8 @@ use std::fs;
 use std::io::Write as _;
 
 use fmaverify::{
-    build_harness, inject_fault, semi_formal_check, CaseId, HarnessOptions, MutationKind,
+    build_harness, fault_targets, inject_fault, semi_formal_check, CaseId, HarnessOptions,
+    MutationKind,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_netlist::{dump_counterexample, encode_to_cnf, write_aiger, write_verilog};
@@ -76,23 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         case.label()
     );
 
-    // 4. VCD: plant a bug, find the counterexample formally, dump the wave.
-    let impl_cone = harness
-        .netlist
-        .comb_cone(harness.impl_fpu.outputs.result.bits());
-    let ref_cone = harness
-        .netlist
-        .comb_cone(harness.ref_fpu.outputs.result.bits());
-    let candidates: Vec<_> = harness
-        .netlist
-        .node_ids()
-        .filter(|id| {
-            impl_cone[id.index()]
-                && !ref_cone[id.index()]
-                && matches!(harness.netlist.node(*id), fmaverify_netlist::Node::And(..))
-        })
-        .collect();
-    for (k, &target) in candidates.iter().enumerate().step_by(23) {
+    // 4. VCD: plant a bug in the implementation's fault sites (the hunt is
+    //    unconstrained, so no constraint logic is excluded), find the
+    //    counterexample semi-formally, dump the wave.
+    let targets = fault_targets(&harness, &[]);
+    for (k, &target) in targets.iter().enumerate().step_by(23) {
         let mutated = inject_fault(&harness.netlist, target, MutationKind::AndToOr);
         let miter = mutated.find_output("miter").expect("miter");
         // Hunt with the semi-formal engine (SAT-guided stimulus).
