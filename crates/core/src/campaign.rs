@@ -11,7 +11,8 @@
 //!
 //! * **killed** — some case produced a replay-confirmed counterexample;
 //!   the killing case is recorded, giving the per-`MutationKind` ×
-//!   case-class kill matrix;
+//!   case-class kill matrix, and so is its decoded counterexample
+//!   ([`MutantOutcome::counterexample`]);
 //! * **survived** — every case held. Because each selected mutant carries a
 //!   simulation witness proving it changes the architected function, a
 //!   survivor is a genuine alarm: a coverage hole in the case split or a
@@ -37,8 +38,9 @@
 
 use std::time::{Duration, Instant};
 
-use fmaverify_fpu::{FpuConfig, FpuOp};
+use fmaverify_fpu::{FpuConfig, FpuOp, PipelineMode};
 use fmaverify_netlist::{BitSim, Node};
+use fmaverify_softfloat::{FpResult, RoundingMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,7 +49,7 @@ use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::mutate::{fault_targets, inject_fault, Mutation, MutationKind};
-use crate::runner::{CancellationToken, Verdict};
+use crate::runner::{CancellationToken, CounterExample, Verdict};
 use crate::sequential::{engine_view, find_constraints, probe_constraints};
 use crate::session::Session;
 use crate::trace::{Counter, SpanKind};
@@ -80,6 +82,8 @@ pub struct MutantOutcome {
     pub mutation: Mutation,
     /// Killed, survived, or budget-exceeded.
     pub status: MutantStatus,
+    /// The killing case's decoded counterexample (`None` unless killed).
+    pub counterexample: Option<CounterExample>,
     /// Cases decided before the run stopped (kills cancel the remainder).
     pub cases_run: usize,
     /// Cases replayed from the proof cache instead of re-proved.
@@ -281,13 +285,9 @@ impl ToJson for CampaignReport {
 /// changes the architected function of this instruction.
 fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
     let netlist = &view.netlist;
-    // Pin the opcode; every other input is driven randomly. Unrolled
-    // netlists hold their inputs at cycle 0 under `name@0`.
+    // Pin the opcode; every other input is driven randomly.
     let op_bits: Vec<(String, bool)> = (0..3)
-        .flat_map(|i| {
-            let v = op.encode() >> i & 1 == 1;
-            [(format!("op[{i}]"), v), (format!("op[{i}]@0"), v)]
-        })
+        .map(|i| (format!("op[{i}]"), op.encode() >> i & 1 == 1))
         .collect();
     let mut sim = BitSim::new(netlist);
     for _ in 0..SCREEN_VECTORS {
@@ -309,10 +309,114 @@ fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
     false
 }
 
+/// The clean harness a campaign injects its faults into:
+/// [`RunConfig::harness`] with multiplier isolation forced off (see the
+/// module docs).
+pub fn campaign_harness(cfg: &FpuConfig, run: &RunConfig) -> Harness {
+    build_harness(
+        cfg,
+        HarnessOptions {
+            isolate_multiplier: false,
+            ..run.harness.clone()
+        },
+    )
+}
+
+/// Arbitrates a kill's counterexample with the softfloat oracle on the
+/// clean, combinational harness the campaign injected its fault into
+/// ([`campaign_harness`]).
+///
+/// The decoded operands must re-encode to the engine's input assignment,
+/// which names only harness inputs and pins `op`'s opcode; on those
+/// operands the clean reference and the clean implementation must both
+/// equal [`FpuOp::apply`], result and flags. Faults never go into the
+/// reference's cone ([`crate::fault_targets`]) and a replay-confirmed
+/// counterexample fires the mutant's miter, so a passing arbitration shows
+/// the fault made the implementation wrong.
+///
+/// Returns the oracle's result, or the first check that failed.
+pub fn arbitrate_kill(
+    clean: &Harness,
+    op: FpuOp,
+    cex: &CounterExample,
+) -> Result<FpResult, String> {
+    if clean.options().pipeline != PipelineMode::Combinational {
+        return Err("arbitration simulates a combinational harness".into());
+    }
+    let inputs = &clean.inputs;
+    let words = [
+        ("a", &inputs.a, cex.a),
+        ("b", &inputs.b, cex.b),
+        ("c", &inputs.c, cex.c),
+        ("op", &inputs.op, u128::from(cex.op)),
+        ("rm", &inputs.rm, u128::from(cex.rm)),
+    ];
+    for (prefix, word, value) in words {
+        for i in 0..word.width() {
+            let name = format!("{prefix}[{i}]");
+            let bit = cex.assignment.get(&name).copied().unwrap_or(false);
+            if bit != (value >> i & 1 == 1) {
+                return Err(format!("{name} does not re-encode"));
+            }
+        }
+    }
+    if let Some(name) = cex
+        .assignment
+        .keys()
+        .find(|k| clean.netlist.find_input(k).is_none())
+    {
+        return Err(format!("the assignment names {name}, not a harness input"));
+    }
+    if cex.op != op.encode() {
+        return Err(format!(
+            "the counterexample's opcode {} is not {op:?}'s",
+            cex.op
+        ));
+    }
+
+    let mut sim = BitSim::new(&clean.netlist);
+    for (_, word, value) in words {
+        sim.set_word(word, value);
+    }
+    sim.eval();
+    let want = op.apply(
+        &clean.cfg,
+        cex.a,
+        cex.b,
+        cex.c,
+        RoundingMode::decode(cex.rm),
+    );
+    for (side, outputs) in [
+        ("reference", &clean.ref_fpu.outputs),
+        ("implementation", &clean.impl_fpu.outputs),
+    ] {
+        let got = (
+            sim.get_word(&outputs.result),
+            sim.get_word(&outputs.flags) as u32,
+        );
+        if got != (want.bits, want.flags.encode()) {
+            return Err(format!(
+                "clean {side} gives result {:#x} flags {:#x}, the oracle {:#x} flags {:#x}, \
+                 on {op:?} a={:#x} b={:#x} c={:#x}",
+                got.0,
+                got.1,
+                want.bits,
+                want.flags.encode(),
+                cex.a,
+                cex.b,
+                cex.c
+            ));
+        }
+    }
+    Ok(want)
+}
+
 /// Runs a mutation-coverage campaign for `op`.
 ///
-/// The harness is built from [`RunConfig::harness`] with multiplier
-/// isolation forced off (see the module docs); [`RunConfig::mutants`] caps
+/// This is the crate's one mutant loop: nothing else verifies a mutant
+/// through [`Session::run_prepared`].
+///
+/// The harness is [`campaign_harness`]; [`RunConfig::mutants`] caps
 /// the number of verified mutants (`None` = exhaustive) and
 /// [`RunConfig::mutation_seed`] drives both the sample and the
 /// observability screen. Kills stop a mutant's remaining cases early
@@ -324,13 +428,7 @@ fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
 /// no candidate gates.
 pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignReport {
     let start = Instant::now();
-    let mut base = build_harness(
-        cfg,
-        HarnessOptions {
-            isolate_multiplier: false,
-            ..run.harness.clone()
-        },
-    );
+    let mut base = campaign_harness(cfg, run);
 
     // Name every case constraint as probes: fault injection and unrolling
     // preserve names, not node ids.
@@ -399,7 +497,8 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
 
         let mutant_start = Instant::now();
         let results = fresh_session().run_prepared(&view, op, &constraints);
-        let status = if let Some(fail) = results.iter().find(|r| r.verdict == Verdict::Fails) {
+        let kill = results.iter().find(|r| r.verdict == Verdict::Fails);
+        let status = if let Some(fail) = kill {
             MutantStatus::Killed {
                 case: fail.case,
                 replay_confirmed: fail
@@ -418,6 +517,7 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         outcomes.push(MutantOutcome {
             mutation,
             status,
+            counterexample: kill.and_then(|r| r.counterexample.clone()),
             cases_run: results
                 .iter()
                 .filter(|r| r.verdict != Verdict::Canceled)

@@ -48,8 +48,6 @@ pub struct RunConfig {
     /// cache is lossy and direct-mapped: a smaller cap trades recompute
     /// work for memory without ever changing results.
     pub bdd_cache_size: usize,
-    /// Retry a budget-exceeded case on the other engine class.
-    pub escalate: bool,
     /// Cancel the remaining cases as soon as one counterexample is found.
     pub stop_on_failure: bool,
     /// BDD care-set minimization strategy.
@@ -80,7 +78,6 @@ impl Default for RunConfig {
             sweep_before_sat: false,
             gc_threshold: bdd.gc_threshold,
             bdd_cache_size: bdd.cache_size,
-            escalate: true,
             stop_on_failure: false,
             minimize: bdd.minimize,
             harness: HarnessOptions::default(),
@@ -105,7 +102,6 @@ impl RunConfig {
     /// | `FMAVERIFY_SWEEP` | [`RunConfig::sweep_before_sat`] | `1`/`0` |
     /// | `FMAVERIFY_GC_THRESHOLD` | [`RunConfig::gc_threshold`] | integer |
     /// | `FMAVERIFY_BDD_CACHE_SIZE` | [`RunConfig::bdd_cache_size`] | integer (entries) |
-    /// | `FMAVERIFY_ESCALATE` | [`RunConfig::escalate`] | `1`/`0` |
     /// | `FMAVERIFY_STOP_ON_FAILURE` | [`RunConfig::stop_on_failure`] | `1`/`0` |
     /// | `FMAVERIFY_CACHE` | [`RunConfig::cache_mode`] | `off`, `ro`, `rw` |
     /// | `FMAVERIFY_CACHE_DIR` | [`RunConfig::cache_dir`] | path |
@@ -125,7 +121,6 @@ impl RunConfig {
             sweep_before_sat: env_flag("FMAVERIFY_SWEEP").unwrap_or(d.sweep_before_sat),
             gc_threshold: env_usize("FMAVERIFY_GC_THRESHOLD").unwrap_or(d.gc_threshold),
             bdd_cache_size: env_usize("FMAVERIFY_BDD_CACHE_SIZE").unwrap_or(d.bdd_cache_size),
-            escalate: env_flag("FMAVERIFY_ESCALATE").unwrap_or(d.escalate),
             stop_on_failure: env_flag("FMAVERIFY_STOP_ON_FAILURE").unwrap_or(d.stop_on_failure),
             cache_mode: std::env::var("FMAVERIFY_CACHE")
                 .ok()

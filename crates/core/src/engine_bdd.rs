@@ -958,11 +958,8 @@ mod tests {
             let (view, constraints) = engine_view(&harness, netlist.clone(), &probes);
             let miter = netlist.find_output("miter").expect("miter");
             let mut failures = 0;
-            for ((case, names), (_, unrolled_parts)) in probes.iter().zip(&constraints) {
-                let parts: Vec<Signal> = names
-                    .iter()
-                    .map(|n| netlist.find_probe(n).expect("probe"))
-                    .collect();
+            for (probe, (case, unrolled_parts)) in probes.iter().zip(&constraints) {
+                let parts = find_constraints(&netlist, std::slice::from_ref(probe));
                 let opts = BddEngineOptions::default();
                 let seq = check_miter_bdd_sequential(&netlist, miter, &parts, latency, &opts);
                 let unrolled =

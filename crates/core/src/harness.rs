@@ -139,10 +139,12 @@ impl Harness {
     /// Re-points this harness at a rebuilt `netlist` and `miter` — after
     /// fault injection ([`crate::inject_fault`]) or unrolling
     /// ([`fmaverify_netlist::unroll`]), both of which preserve names but
-    /// renumber nodes. The operand/opcode/rounding-mode inputs, the `S'`/`T'`
-    /// pseudo-inputs, and the multiplier constraint are re-located by name
-    /// (falling back to the cycle-0 copy `name@0` of an unrolled netlist) so
-    /// the static BDD variable orders and counterexample decoding stay valid.
+    /// renumber nodes. The operand/opcode/rounding-mode inputs and the
+    /// `S'`/`T'` pseudo-inputs are re-located by name (an unrolled netlist
+    /// holds them under their original names), and the multiplier
+    /// constraint by its probe name (falling back to the cycle-0 copy
+    /// `mult_constraint@0` of an unrolled netlist), so the static BDD
+    /// variable orders and counterexample decoding stay valid.
     ///
     /// The FPU-internal handles (`ref_fpu`, `impl_fpu`) are *not*
     /// re-located: a rebound harness drives the proof engines
@@ -152,12 +154,11 @@ impl Harness {
     ///
     /// # Panics
     /// Panics if an input of the original harness cannot be found in
-    /// `netlist` under either name.
+    /// `netlist`.
     pub fn rebind(&self, netlist: Netlist, miter: Signal) -> Harness {
         let input = |name: String| -> Signal {
             netlist
                 .find_input(&name)
-                .or_else(|| netlist.find_input(&format!("{name}@0")))
                 .unwrap_or_else(|| panic!("rebind: input {name} missing from rebuilt netlist"))
         };
         let word = |prefix: &str, width: usize| -> Word {

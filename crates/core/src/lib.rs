@@ -119,7 +119,9 @@ pub use cache::{
     CacheMode, CacheStats, CachedCase, Fingerprint, ProofCache, CACHE_SCHEMA_VERSION,
     ENGINE_REVISION,
 };
-pub use campaign::{run_campaign, CampaignReport, MutantOutcome, MutantStatus};
+pub use campaign::{
+    arbitrate_kill, campaign_harness, run_campaign, CampaignReport, MutantOutcome, MutantStatus,
+};
 pub use cases::{cancellation_deltas, enumerate_cases, CaseClass, CaseId, ShaCase};
 pub use cec::{check_equivalence, CecResult};
 pub use completeness::{prove_completeness, CompletenessResult};

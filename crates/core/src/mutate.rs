@@ -5,10 +5,11 @@
 //! single-gate faults into a netlist (polarity flips, gate-type swaps, stuck
 //! nodes), after which the verification flow must produce a counterexample.
 //!
-//! Every bug hunt takes the same path: pick a site among the harness's
-//! [`fault_targets`], [`inject_fault`], turn the mutant into the harness
-//! the engines check with [`crate::sequential::engine_view`], and verify it
-//! with [`crate::Session::run_prepared`], which decodes and replays any
+//! Every mutant is verified by one loop, [`crate::run_campaign`]: it picks
+//! a site among the harness's [`fault_targets`], calls [`inject_fault`],
+//! turns the mutant into the harness the engines check with
+//! [`crate::sequential::engine_view`], and verifies it with
+//! [`crate::Session::run_prepared`], which decodes and replays any
 //! counterexample.
 
 use fmaverify_fpu::FpuOutputs;
@@ -54,7 +55,7 @@ impl MutationKind {
 }
 
 /// A performed mutation, for reporting.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mutation {
     /// The mutated AND node (in the original netlist's numbering).
     pub node: NodeId,

@@ -238,9 +238,10 @@ pub struct SchedulePolicy {
 
 impl SchedulePolicy {
     /// The policy a [`RunConfig`] describes: the paper's engine
-    /// assignment, budgets from the configuration, plus one escalation rung
-    /// per class when `escalate` is set — a blown BDD run retries as swept
-    /// SAT, a blown SAT run retries as unbounded BDD.
+    /// assignment with budgets from the configuration. A budget implies its
+    /// escalation rung: a blown BDD run retries as swept SAT, a blown SAT
+    /// run retries as unbounded BDD. (A policy without that rung is built
+    /// directly and installed with [`crate::Session::policy`].)
     pub fn from_config(config: &RunConfig) -> Self {
         let bdd = Arc::new(BddCaseEngine {
             minimize: config.minimize,
@@ -254,7 +255,7 @@ impl SchedulePolicy {
                 conflict_limit: None,
             },
         }];
-        if config.escalate && config.node_budget.is_some() {
+        if config.node_budget.is_some() {
             overlap.push(EngineStage {
                 engine: Arc::new(SatCaseEngine { sweep_first: true }),
                 budget: EngineBudget::UNLIMITED,
@@ -269,7 +270,7 @@ impl SchedulePolicy {
                 conflict_limit: config.conflict_budget,
             },
         }];
-        if config.escalate && config.conflict_budget.is_some() {
+        if config.conflict_budget.is_some() {
             farout.push(EngineStage {
                 engine: bdd,
                 budget: EngineBudget::UNLIMITED,
@@ -662,11 +663,8 @@ fn decode_cex(harness: &Harness, assignment: HashMap<String, bool>) -> CounterEx
     let get_word = |prefix: &str, width: usize| -> u128 {
         (0..width)
             .map(|i| {
-                // Unrolled harnesses hold their inputs at cycle 0, so the
-                // assignment keys carry an `@0` suffix.
                 let bit = assignment
                     .get(&format!("{prefix}[{i}]"))
-                    .or_else(|| assignment.get(&format!("{prefix}[{i}]@0")))
                     .copied()
                     .unwrap_or(false);
                 u128::from(bit) << i

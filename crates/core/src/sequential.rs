@@ -9,12 +9,14 @@
 //! of the paper's driver issuing a single instruction into an empty FPU —
 //! and the cycle-`L` miter is checked by the same BDD/SAT engines.
 //!
-//! This is the one way a pipelined harness or a mutant reaches an engine:
-//! [`crate::Session::run`], [`crate::run_campaign`], [`unroll_harness`] and
-//! every bug hunt name the case constraints as probes
+//! This is the one way a harness, pipelined or not, or a mutant reaches an
+//! engine: [`crate::Session::run`], [`crate::run_campaign`] (the one mutant
+//! loop) and [`unroll_harness`] name the case constraints as probes
 //! ([`probe_constraints`]) and re-locate them in the netlist the engines
 //! check ([`engine_view`]); [`find_constraints`] locates them in the
-//! probed netlist itself.
+//! probed netlist itself. Unrolling holds the inputs under their original
+//! names, so counterexamples and rebinding read the same names in every
+//! view; outputs and probes carry an `@cycle` suffix.
 
 use fmaverify_fpu::{FpuOp, PipelineMode};
 use fmaverify_netlist::{unroll, InputMode, Netlist, Signal};

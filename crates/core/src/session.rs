@@ -39,7 +39,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fmaverify_fpu::{FpuConfig, FpuOp, PipelineMode};
+use fmaverify_fpu::{FpuConfig, FpuOp};
 use fmaverify_netlist::Signal;
 
 use crate::cache::{CacheStats, ProofCache};
@@ -139,12 +139,14 @@ impl Session {
     /// work-stealing pool.
     ///
     /// Constraints for all cases are materialized in the shared netlist
-    /// first; the per-case checks then run in parallel over the read-only
-    /// netlist. A pipelined harness ([`crate::HarnessOptions::pipeline`])
-    /// is unrolled to its latency first, so the engines check the miter at
-    /// the result-valid cycle. When a tracer is configured, the whole run
-    /// is bracketed by a `run` span with `op` children for harness
-    /// construction, constraint generation and (pipelined only) unrolling,
+    /// first and named as probes ([`crate::probe_constraints`]); the
+    /// engines then check the harness's [`crate::engine_view`], in parallel
+    /// over its read-only netlist. For a pipelined harness
+    /// ([`crate::HarnessOptions::pipeline`]) that view is unrolled to the
+    /// latency, so the engines check the miter at the result-valid cycle; a
+    /// combinational one passes through. When a tracer is configured, the
+    /// whole run is bracketed by a `run` span with `op` children for
+    /// harness construction, constraint generation and the engine view,
     /// and a totals event is emitted at the end.
     pub fn run(&self, op: FpuOp) -> InstructionReport {
         let start = Instant::now();
@@ -154,22 +156,16 @@ impl Session {
             let _span = run_span.child(SpanKind::Op, || "build_harness".into());
             build_harness(&self.cfg, self.config.harness.clone())
         };
-        let cases = enumerate_cases(&self.cfg, op);
-        let (harness, constraints) = if self.config.harness.pipeline == PipelineMode::Combinational
-        {
+        let probes = {
             let _span = run_span.child(SpanKind::Op, || "constraints".into());
-            let constraints: Vec<(CaseId, Vec<Signal>)> = cases
-                .iter()
-                .map(|&case| (case, harness.case_constraint_parts(op, case)))
-                .collect();
-            (harness, constraints)
-        } else {
-            let probes = {
-                let _span = run_span.child(SpanKind::Op, || "constraints".into());
-                probe_constraints(&mut harness, op, &cases)
-            };
-            let _span = run_span.child(SpanKind::Op, || "unroll".into());
-            engine_view(&harness, harness.netlist.clone(), &probes)
+            probe_constraints(&mut harness, op, &enumerate_cases(&self.cfg, op))
+        };
+        let (harness, constraints) = {
+            let _span = run_span.child(SpanKind::Op, || "engine_view".into());
+            // The view takes the netlist over: no copy, and the shadowed
+            // harness keeps an empty one.
+            let netlist = std::mem::take(&mut harness.netlist);
+            engine_view(&harness, netlist, &probes)
         };
         let cache_before = self.cache.as_ref().map(|c| c.stats());
         let results = schedule_cases(

@@ -8,11 +8,10 @@ use std::sync::Arc;
 
 use fmaverify::{
     build_harness, engine_view, fault_targets, find_constraints, inject_fault, probe_constraints,
-    CacheMode, CaseId, Fingerprint, Harness, HarnessOptions, MutationKind, ProofCache, RunConfig,
-    SchedulePolicy, Session, ToJson, Verdict,
+    run_campaign, CacheMode, CaseId, Fingerprint, HarnessOptions, MutantOutcome, MutantStatus,
+    MutationKind, ProofCache, RunConfig, SchedulePolicy, Session, ToJson, Verdict,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
-use fmaverify_netlist::Signal;
 use fmaverify_softfloat::FpFormat;
 
 fn tiny() -> FpuConfig {
@@ -84,18 +83,6 @@ fn warm_run_replays_cold_verdicts_and_stats() {
     }
 }
 
-/// The default harness with the constraint parts of `op`'s `case` named as
-/// probes, and the engine view of the mutant that inverts its first fault
-/// site (in node order), with the case's re-located constraint parts.
-fn mutant(op: FpuOp, case: CaseId) -> (Harness, Harness, Vec<(CaseId, Vec<Signal>)>) {
-    let mut h = build_harness(&tiny(), HarnessOptions::default());
-    let probes = probe_constraints(&mut h, op, &[case]);
-    let target = fault_targets(&h, &find_constraints(&h.netlist, &probes))[0];
-    let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);
-    let (view, constraints) = engine_view(&h, mutated, &probes);
-    (h, view, constraints)
-}
-
 #[test]
 fn netlist_mutation_changes_the_fingerprint() {
     let op = FpuOp::Mul;
@@ -103,9 +90,15 @@ fn netlist_mutation_changes_the_fingerprint() {
     let policy = SchedulePolicy::from_config(&RunConfig::default());
     let ladder = policy.ladder(op, case);
 
-    // The default harness is combinational, so the fault lands in the
-    // same-cycle cone of influence that the fingerprint hashes.
-    let (mut h, view, constraints) = mutant(op, case);
+    // The default harness is combinational, so a fault at its first fault
+    // site lands in the same-cycle cone of influence that the fingerprint
+    // hashes.
+    let mut h = build_harness(&tiny(), HarnessOptions::default());
+    let probes = probe_constraints(&mut h, op, &[case]);
+    let target = fault_targets(&h, &find_constraints(&h.netlist, &probes))[0];
+    let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);
+    let (view, constraints) = engine_view(&h, mutated, &probes);
+
     let clean_parts = h.case_constraint_parts(op, case);
     let clean_fp = Fingerprint::compute(&h, op, case, &clean_parts, ladder);
     let same_fp = Fingerprint::compute(&h, op, case, &clean_parts, ladder);
@@ -121,40 +114,50 @@ fn netlist_mutation_changes_the_fingerprint() {
 #[test]
 fn cached_failure_replays_counterexample_on_mutant() {
     let dir = TempDir::new("mutant");
-    // Prove the clean design once to populate the cache...
-    let clean = session(&dir, CacheMode::ReadWrite).run(FpuOp::Mul);
-    assert!(clean.all_hold());
-
-    // ...then verify a mutated design with the same cache: the case must
+    let run = RunConfig {
+        cache_mode: CacheMode::ReadWrite,
+        cache_dir: dir.0.clone(),
+        threads: 2,
+        mutants: Some(1),
+        ..RunConfig::default()
+    };
+    let op = FpuOp::Mul;
+    // A one-mutant campaign proves the clean design first, populating the
+    // cache, then verifies the mutant with the same cache: its case must
     // MISS (different fingerprint) and re-prove rather than replay the
     // clean design's proof, which the fault breaks.
-    let op = FpuOp::Mul;
-    let (_, harness, constraints) = mutant(op, CaseId::Monolithic);
-    let cold = session(&dir, CacheMode::ReadWrite).run_prepared(&harness, op, &constraints);
+    let cold = run_campaign(&tiny(), op, &run);
+    assert_eq!(cold.clean_cached, 0);
+    let cold_kill = &cold.outcomes[0];
     assert!(
-        cold.iter().all(|r| !r.cached),
+        matches!(
+            cold_kill.status,
+            MutantStatus::Killed {
+                replay_confirmed: true,
+                ..
+            }
+        ),
+        "the fault must fail the case: {:?}",
+        cold_kill.status
+    );
+    assert_eq!(
+        cold_kill.cached_cases, 0,
         "mutant design must not reuse clean-design proofs"
     );
-    let cold_cex = cold[0].counterexample.as_ref();
-    assert_eq!(
-        cold[0].verdict,
-        Verdict::Fails,
-        "the fault must fail the case"
-    );
-    assert!(cold_cex.is_some_and(|c| c.replay_confirmed));
 
-    // A rerun of the *same* mutant replays its failure verdict, and the
-    // counterexample with it, from the cache.
-    let warm = session(&dir, CacheMode::ReadWrite).run_prepared(&harness, op, &constraints);
-    assert!(warm[0].cached, "mutant rerun must replay from cache");
-    assert_eq!(warm[0].verdict, Verdict::Fails);
+    // A rerun of the *same* campaign replays the mutant's failure verdict,
+    // and the counterexample with it, from the cache.
+    let warm = run_campaign(&tiny(), op, &run);
+    let warm_kill = &warm.outcomes[0];
+    assert_eq!(warm_kill.mutation, cold_kill.mutation);
     assert_eq!(
-        cold_cex.map(|c| c.to_json().render()),
-        warm[0]
-            .counterexample
-            .as_ref()
-            .map(|c| c.to_json().render())
+        warm_kill.cached_cases, warm_kill.cases_run,
+        "mutant rerun must replay from cache"
     );
+    assert_eq!(warm_kill.status, cold_kill.status);
+    let render = |o: &MutantOutcome| o.counterexample.as_ref().map(|c| c.to_json().render());
+    assert!(render(cold_kill).is_some());
+    assert_eq!(render(cold_kill), render(warm_kill));
 }
 
 #[test]

@@ -80,13 +80,14 @@ fn bdd_and_sat_agree_on_the_same_case_through_the_trait() {
 #[test]
 fn tiny_budget_reports_budget_exceeded_without_escalation() {
     let cfg = tiny();
-    let report = Session::new(&cfg)
-        .configure(RunConfig {
-            node_budget: Some(16),
-            escalate: false,
-            ..RunConfig::default()
-        })
-        .run(FpuOp::Fma);
+    // The derived policy with its overlap ladder cut to the budgeted BDD
+    // rung alone, so nothing escalates.
+    let mut policy = SchedulePolicy::from_config(&RunConfig {
+        node_budget: Some(16),
+        ..RunConfig::default()
+    });
+    policy.overlap.truncate(1);
+    let report = Session::new(&cfg).policy(policy).run(FpuOp::Fma);
     let exceeded = report
         .results
         .iter()
@@ -110,7 +111,6 @@ fn escalation_recovers_every_budget_exceeded_case_with_unchanged_verdicts() {
     let budgeted = Session::new(&cfg)
         .configure(RunConfig {
             node_budget: Some(16),
-            escalate: true,
             ..RunConfig::default()
         })
         .run(op);

@@ -235,7 +235,6 @@ fn warm_totals_claim_no_replayed_work() {
     let config = RunConfig {
         threads: 2,
         node_budget: Some(16),
-        escalate: true,
         cache_mode: CacheMode::ReadWrite,
         cache_dir: dir.0.clone(),
         ..RunConfig::default()

@@ -2,85 +2,28 @@
 //! oracle, plus pipeline-mode checks (the combinational and three-stage
 //! variants must agree, with the latter taking its latency in cycles).
 
+mod common;
+
+use common::{check_one, Harness};
 use fmaverify_fpu::{
     build_impl_fpu, DenormalMode, FpuConfig, FpuInputs, FpuOp, ImplFpu, MultiplierMode,
     PipelineMode,
 };
 use fmaverify_netlist::{BitSim, Netlist};
-use fmaverify_softfloat::{Flags, FpFormat, RoundingMode};
+use fmaverify_softfloat::{FpFormat, RoundingMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-struct Harness {
-    netlist: Netlist,
-    inputs: FpuInputs,
-    fpu: ImplFpu,
-    cfg: FpuConfig,
-}
-
-fn build(format: FpFormat, denormals: DenormalMode) -> Harness {
-    let cfg = FpuConfig { format, denormals };
-    let mut netlist = Netlist::new();
-    let inputs = FpuInputs::new(&mut netlist, format);
-    let fpu = build_impl_fpu(
-        &mut netlist,
-        &cfg,
-        &inputs,
-        MultiplierMode::Real,
-        PipelineMode::Combinational,
-    );
-    Harness {
-        netlist,
-        inputs,
-        fpu,
-        cfg,
-    }
-}
-
-fn oracle(
-    cfg: &FpuConfig,
-    op: FpuOp,
-    a: u128,
-    b: u128,
-    c: u128,
-    rm: RoundingMode,
-) -> (u128, Flags) {
-    let r = op.apply(cfg, a, b, c, rm);
-    (r.bits, r.flags)
-}
-
-fn check_one(
-    h: &Harness,
-    sim: &mut BitSim,
-    op: FpuOp,
-    a: u128,
-    b: u128,
-    c: u128,
-    rm: RoundingMode,
-) {
-    sim.set_word(&h.inputs.a, a);
-    sim.set_word(&h.inputs.b, b);
-    sim.set_word(&h.inputs.c, c);
-    sim.set_word(&h.inputs.op, op.encode() as u128);
-    sim.set_word(&h.inputs.rm, rm.encode() as u128);
-    sim.eval();
-    let got = sim.get_word(&h.fpu.outputs.result);
-    let got_flags = sim.get_word(&h.fpu.outputs.flags) as u32;
-    let (want, want_flags) = oracle(&h.cfg, op, a, b, c, rm);
-    assert_eq!(
-        got,
-        want,
-        "{op:?} a={a:#x} b={b:#x} c={c:#x} rm={rm:?} mode={:?}: got {got:#x} ({}), want {want:#x} ({})",
-        h.cfg.denormals,
-        h.cfg.format.to_f64(got),
-        h.cfg.format.to_f64(want),
-    );
-    assert_eq!(
-        got_flags,
-        want_flags.encode(),
-        "flags for {op:?} a={a:#x} b={b:#x} c={c:#x} rm={rm:?} mode={:?} (result {want:#x})",
-        h.cfg.denormals,
-    );
+fn build(format: FpFormat, denormals: DenormalMode) -> Harness<ImplFpu> {
+    common::build(format, denormals, |netlist, cfg, inputs| {
+        build_impl_fpu(
+            netlist,
+            cfg,
+            inputs,
+            MultiplierMode::Real,
+            PipelineMode::Combinational,
+        )
+    })
 }
 
 #[test]

@@ -14,8 +14,8 @@ use crate::aig::{Netlist, Node, Signal};
 pub enum InputMode {
     /// Each cycle gets fresh inputs named `name@cycle`.
     FreshPerCycle,
-    /// All cycles share the cycle-0 inputs (the paper's driver applies one
-    /// instruction and holds the operands).
+    /// All cycles share the cycle-0 inputs, which keep their original names
+    /// (the paper's driver applies one instruction and holds the operands).
     HoldFirst,
 }
 
@@ -49,7 +49,8 @@ impl Unrolled {
 ///
 /// Latches take their reset value at cycle 0 and their next-state function
 /// evaluated at cycle `c-1` for cycle `c`. Outputs and probes of the original
-/// netlist are re-declared per cycle as `name@cycle`.
+/// netlist are re-declared per cycle as `name@cycle`; inputs are named by
+/// their [`InputMode`].
 ///
 /// # Panics
 /// Panics if `cycles == 0` or a latch is unconnected.
@@ -64,13 +65,11 @@ pub fn unroll(netlist: &Netlist, cycles: usize, mode: InputMode) -> Unrolled {
         for id in netlist.node_ids() {
             let new_sig = match netlist.node(id) {
                 Node::Const => Signal::FALSE,
-                Node::Input { name } => {
-                    if cycle == 0 || mode == InputMode::FreshPerCycle {
-                        out.input(format!("{name}@{cycle}"))
-                    } else {
-                        map[0][id.index()]
-                    }
-                }
+                Node::Input { name } => match mode {
+                    InputMode::FreshPerCycle => out.input(format!("{name}@{cycle}")),
+                    InputMode::HoldFirst if cycle == 0 => out.input(name.clone()),
+                    InputMode::HoldFirst => map[0][id.index()],
+                },
                 Node::Latch { init, next, .. } => match map.last() {
                     None => Signal::FALSE.invert_if(*init),
                     Some(prev) => next.through(prev),
@@ -149,9 +148,9 @@ mod tests {
     fn hold_first_shares_inputs() {
         let (n, _, _) = shift_register();
         let u = unroll(&n, 4, InputMode::HoldFirst);
-        // Only the cycle-0 input exists.
+        // Only the cycle-0 input exists, under its original name.
         assert_eq!(u.netlist.inputs().len(), 1);
-        let outs = u.netlist.eval_comb(&[("d@0", true)]);
+        let outs = u.netlist.eval_comb(&[("d", true)]);
         assert!(!outs["q@0"]);
         assert!(!outs["q@1"]);
         assert!(!outs["q@2"]);
