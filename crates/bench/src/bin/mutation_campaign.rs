@@ -4,9 +4,10 @@
 //! real bugs it caught. This experiment measures that bug-finding power
 //! systematically (DESIGN.md §10): it seeds single-gate faults into the
 //! pipelined implementation FPU's sequential cone and requires the
-//! case-split verification to kill every one of them:
+//! case-split verification to kill every one of them on the case its
+//! simulation witness lies in:
 //!
-//! * zero survivors and zero budget-exceeded mutants,
+//! * zero survivors, zero uncovered and zero budget-exceeded mutants,
 //! * every kill carries a replay-confirmed counterexample,
 //! * every mutation kind is killed at least once, and
 //! * a warm rerun of the same seed replays cases from the proof cache.
@@ -61,15 +62,16 @@ fn main() {
         cold.candidate_gates, cold.mutant_space, cold.screened_out
     );
     println!(
-        "cold: {} verified: {} killed / {} survived / {} budget-exceeded in {}",
+        "cold: {} verified: {} killed / {} survived / {} uncovered / {} budget-exceeded in {}",
         cold.outcomes.len(),
         cold.killed(),
         cold.survived(),
+        cold.uncovered(),
         cold.budget_exceeded(),
         dur(cold.wall)
     );
 
-    // Kill matrix (MutationKind rows x CaseClass columns).
+    // Kill matrix (MutationKind rows x the witness's CaseClass columns).
     let matrix = cold.kill_matrix();
     println!("\nkill matrix (kind x case class):");
     print!("  {:<16}", "");
@@ -101,7 +103,7 @@ fn main() {
         "all mutants killed",
         "dozens of bugs caught",
         &format!("{}/{} killed", cold.killed(), cold.outcomes.len()),
-        cold.survived() == 0 && cold.budget_exceeded() == 0,
+        cold.survived() == 0 && cold.uncovered() == 0 && cold.budget_exceeded() == 0,
     );
     compare(
         "every kill replay-confirmed",
@@ -129,7 +131,12 @@ fn main() {
     assert_eq!(
         cold.survived(),
         0,
-        "surviving mutant: coverage hole or checker bug"
+        "surviving mutant: the engine missed its witness"
+    );
+    assert_eq!(
+        cold.uncovered(),
+        0,
+        "uncovered mutant: its witness lies in no case"
     );
     assert_eq!(cold.budget_exceeded(), 0, "budget-exceeded mutant");
     assert!(

@@ -5,20 +5,28 @@
 //! turns that claim into a measurable regression metric: it enumerates
 //! single-gate mutants over the harness's [`crate::fault_targets`] — the
 //! implementation FPU's *sequential* cone of influence, so faults behind
-//! pipeline registers are reachable — runs
-//! every mutant through the existing case-split verification on the
-//! work-stealing scheduler, and classifies each one:
+//! pipeline registers are reachable — screens each one by random
+//! simulation for a *witness*, an input on which the mutant's miter fires,
+//! and verifies it on the cases that admit its witness
+//! ([`crate::admitting_cases`]) on the work-stealing scheduler. With
+//! isolation off the δ and sha constraints split the inputs, so in practice
+//! that is one case proof per mutant rather than the whole split. Each
+//! mutant is classified by the routed cases' verdicts:
 //!
-//! * **killed** — some case produced a replay-confirmed counterexample;
-//!   the killing case is recorded, giving the per-`MutationKind` ×
-//!   case-class kill matrix, and so is its decoded counterexample
+//! * **killed** — a routed case produced a counterexample; the killing
+//!   case is recorded, giving the per-`MutationKind` × case-class kill
+//!   matrix, and so is its decoded counterexample
 //!   ([`MutantOutcome::counterexample`]);
-//! * **survived** — every case held. Because each selected mutant carries a
-//!   simulation witness proving it changes the architected function, a
-//!   survivor is a genuine alarm: a coverage hole in the case split or a
-//!   checker bug;
-//! * **budget-exceeded** — some case was left undecided by the engine
-//!   budgets (never reported as killed or survived).
+//! * **survived** — every routed case held: the engine missed the known
+//!   concrete counterexample the witness is, an alarm;
+//! * **uncovered** — no case admits the witness: a concrete completeness
+//!   failure of the case split, an alarm;
+//! * **budget-exceeded** — a routed case was left undecided by the engine
+//!   budgets or an engine error (never reported as killed or survived).
+//!
+//! Routing makes the campaign harder to fool than running every case: a
+//! wrong "holds" on the witness's case cannot be hidden by another case's
+//! kill.
 //!
 //! Candidate faults with no witness after the random-simulation screen are
 //! skipped and counted ([`CampaignReport::screened_out`]): simulation
@@ -26,10 +34,10 @@
 //! to excite, and either way its survival would carry no signal.
 //!
 //! The campaign shares one proof cache across the clean baseline and all
-//! mutants ([`crate::RunConfig::cache_mode`]): a case whose cone-of-influence
-//! fingerprint the fault did not change replays the clean design's verdict,
-//! so each mutant only pays for the cases the fault can actually affect —
-//! and a warm rerun of the same seed replays everything.
+//! mutants ([`crate::RunConfig::cache_mode`]). Every fault lies in the
+//! miter's cone, so it changes the fingerprint of every case a mutant runs:
+//! a cold campaign replays nothing, and the cache pays on a warm rerun of
+//! the same seed, which replays the baseline and every routed case.
 //!
 //! The harness is built *without* multiplier isolation: the `S'`,`T'`
 //! pseudo-inputs are only sound under the multiplier constraint, which
@@ -39,7 +47,7 @@
 use std::time::{Duration, Instant};
 
 use fmaverify_fpu::{FpuConfig, FpuOp, PipelineMode};
-use fmaverify_netlist::{BitSim, Node};
+use fmaverify_netlist::{BitSim, Node, Signal};
 use fmaverify_softfloat::{FpResult, RoundingMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,8 +57,8 @@ use crate::config::RunConfig;
 use crate::harness::{build_harness, Harness, HarnessOptions};
 use crate::json::{JsonValue, ToJson};
 use crate::mutate::{fault_targets, inject_fault, Mutation, MutationKind};
-use crate::runner::{CancellationToken, CounterExample, Verdict};
-use crate::sequential::{engine_view, find_constraints, probe_constraints};
+use crate::runner::{CancellationToken, CaseResult, CounterExample, Verdict};
+use crate::sequential::{admitting_cases, engine_view, find_constraints, probe_constraints};
 use crate::session::Session;
 use crate::trace::{Counter, SpanKind};
 
@@ -68,10 +76,14 @@ pub enum MutantStatus {
         /// Whether the counterexample replayed to `miter = 1`.
         replay_confirmed: bool,
     },
-    /// Every case held even though the mutant provably changes the
-    /// function: a coverage hole or a checker bug.
+    /// Every case that admits the witness held: the engine missed a known
+    /// concrete counterexample, an alarm.
     Survived,
-    /// At least one case exhausted its engine budgets undecided.
+    /// No case admits the witness: the case split misses an input, a
+    /// concrete completeness failure.
+    Uncovered,
+    /// A case that admits the witness was left undecided (engine budgets or
+    /// an engine error).
     BudgetExceeded,
 }
 
@@ -80,11 +92,12 @@ pub enum MutantStatus {
 pub struct MutantOutcome {
     /// The injected fault.
     pub mutation: Mutation,
-    /// Killed, survived, or budget-exceeded.
+    /// Killed, survived, uncovered or budget-exceeded.
     pub status: MutantStatus,
     /// The killing case's decoded counterexample (`None` unless killed).
     pub counterexample: Option<CounterExample>,
-    /// Cases decided before the run stopped (kills cancel the remainder).
+    /// Cases that admit the witness and were decided: one in practice, 0
+    /// when uncovered.
     pub cases_run: usize,
     /// Cases replayed from the proof cache instead of re-proved.
     pub cached_cases: usize,
@@ -122,11 +135,19 @@ impl CampaignReport {
             .count()
     }
 
-    /// Mutants that survived every case (alarms).
+    /// Mutants that survived their witness's case (alarms).
     pub fn survived(&self) -> usize {
         self.outcomes
             .iter()
             .filter(|o| o.status == MutantStatus::Survived)
+            .count()
+    }
+
+    /// Mutants whose witness lies in no case (alarms).
+    pub fn uncovered(&self) -> usize {
+        self.outcomes
+            .iter()
+            .filter(|o| o.status == MutantStatus::Uncovered)
             .count()
     }
 
@@ -167,7 +188,7 @@ impl CampaignReport {
 
     /// The kill matrix: `matrix[kind][class]` counts mutants of
     /// [`MutationKind::ALL`]`[kind]` killed by a case of
-    /// [`CaseClass::ALL`]`[class]`.
+    /// [`CaseClass::ALL`]`[class]`, the class their witness lies in.
     pub fn kill_matrix(&self) -> [[usize; CaseClass::ALL.len()]; MutationKind::ALL.len()] {
         let mut matrix = [[0usize; CaseClass::ALL.len()]; MutationKind::ALL.len()];
         for o in &self.outcomes {
@@ -205,6 +226,12 @@ impl ToJson for MutantOutcome {
                 JsonValue::Null,
                 JsonValue::Null,
             ),
+            MutantStatus::Uncovered => (
+                "uncovered",
+                JsonValue::Null,
+                JsonValue::Null,
+                JsonValue::Null,
+            ),
             MutantStatus::BudgetExceeded => (
                 "budget_exceeded",
                 JsonValue::Null,
@@ -219,6 +246,10 @@ impl ToJson for MutantOutcome {
             ("killing_case", killing_case),
             ("killing_class", killing_class),
             ("replay_confirmed", replay),
+            (
+                "counterexample",
+                JsonValue::opt(self.counterexample.as_ref(), ToJson::to_json),
+            ),
             ("cases_run", JsonValue::int(self.cases_run)),
             ("cached_cases", JsonValue::int(self.cached_cases)),
             ("wall_seconds", JsonValue::Number(self.wall.as_secs_f64())),
@@ -260,6 +291,7 @@ impl ToJson for CampaignReport {
                     ("mutants", JsonValue::int(self.outcomes.len())),
                     ("killed", JsonValue::int(self.killed())),
                     ("survived", JsonValue::int(self.survived())),
+                    ("uncovered", JsonValue::int(self.uncovered())),
                     ("budget_exceeded", JsonValue::int(self.budget_exceeded())),
                     ("kill_rate", JsonValue::Number(self.kill_rate())),
                     ("kinds_with_kills", JsonValue::int(self.kinds_with_kills())),
@@ -280,10 +312,17 @@ impl ToJson for CampaignReport {
     }
 }
 
-/// True if random simulation finds an input (with the opcode pinned to
-/// `op`) on which the view's miter fires — a witness that the mutant
-/// changes the architected function of this instruction.
-fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
+/// The observability screen: random simulation looks for an input (with
+/// the opcode pinned to `op`) on which the view's miter fires — a witness
+/// that the mutant changes the architected function of this instruction.
+/// Returns the cases of `constraints` that admit the first witness, read
+/// off the same evaluation, or `None` when no vector fires the miter.
+fn screen(
+    view: &Harness,
+    constraints: &[(CaseId, Vec<Signal>)],
+    op: FpuOp,
+    rng: &mut StdRng,
+) -> Option<Vec<(CaseId, Vec<Signal>)>> {
     let netlist = &view.netlist;
     // Pin the opcode; every other input is driven randomly.
     let op_bits: Vec<(String, bool)> = (0..3)
@@ -303,10 +342,31 @@ fn has_witness(view: &Harness, op: FpuOp, rng: &mut StdRng) -> bool {
         }
         sim.eval();
         if sim.get(view.miter) {
-            return true;
+            return Some(admitting_cases(&sim, constraints));
         }
     }
-    false
+    None
+}
+
+/// A mutant's status from the results of the cases that admit its
+/// witness, with the killing case's counterexample.
+fn classify(results: &[CaseResult]) -> (MutantStatus, Option<CounterExample>) {
+    if let Some(fail) = results.iter().find(|r| r.verdict == Verdict::Fails) {
+        let status = MutantStatus::Killed {
+            case: fail.case,
+            replay_confirmed: fail
+                .counterexample
+                .as_ref()
+                .is_some_and(|c| c.replay_confirmed),
+        };
+        (status, fail.counterexample.clone())
+    } else if results.is_empty() {
+        (MutantStatus::Uncovered, None)
+    } else if results.iter().all(|r| r.verdict == Verdict::Holds) {
+        (MutantStatus::Survived, None)
+    } else {
+        (MutantStatus::BudgetExceeded, None)
+    }
 }
 
 /// The clean harness a campaign injects its faults into:
@@ -419,8 +479,9 @@ pub fn arbitrate_kill(
 /// The harness is [`campaign_harness`]; [`RunConfig::mutants`] caps
 /// the number of verified mutants (`None` = exhaustive) and
 /// [`RunConfig::mutation_seed`] drives both the sample and the
-/// observability screen. Kills stop a mutant's remaining cases early
-/// regardless of [`RunConfig::stop_on_failure`].
+/// observability screen. Each mutant runs only the cases that admit its
+/// witness; should several do, a kill stops the rest regardless of
+/// [`RunConfig::stop_on_failure`].
 ///
 /// # Panics
 /// Panics if the clean baseline does not verify (a campaign against a
@@ -457,8 +518,8 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         .tracer
         .span(SpanKind::Run, || format!("campaign.{op:?}"));
 
-    // Clean baseline: the design must verify, and the shared cache is
-    // seeded so mutants only re-prove cases their fault can reach.
+    // Clean baseline: the design must verify, and a warm rerun replays it
+    // from the shared cache.
     let (clean_view, clean_constraints) = engine_view(&base, base.netlist.clone(), &probes);
     let clean = fresh_session().run_prepared(&clean_view, op, &clean_constraints);
     assert!(
@@ -490,34 +551,18 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
         };
         let mutated = inject_fault(&base.netlist, mutation.node, mutation.kind);
         let (view, constraints) = engine_view(&base, mutated, &probes);
-        if !has_witness(&view, op, &mut rng) {
+        let Some(routed) = screen(&view, &constraints, op, &mut rng) else {
             screened_out += 1;
             continue;
-        }
+        };
 
         let mutant_start = Instant::now();
-        let results = fresh_session().run_prepared(&view, op, &constraints);
-        let kill = results.iter().find(|r| r.verdict == Verdict::Fails);
-        let status = if let Some(fail) = kill {
-            MutantStatus::Killed {
-                case: fail.case,
-                replay_confirmed: fail
-                    .counterexample
-                    .as_ref()
-                    .is_some_and(|c| c.replay_confirmed),
-            }
-        } else if results
-            .iter()
-            .any(|r| matches!(r.verdict, Verdict::BudgetExceeded | Verdict::Error))
-        {
-            MutantStatus::BudgetExceeded
-        } else {
-            MutantStatus::Survived
-        };
+        let results = fresh_session().run_prepared(&view, op, &routed);
+        let (status, counterexample) = classify(&results);
         outcomes.push(MutantOutcome {
             mutation,
             status,
-            counterexample: kill.and_then(|r| r.counterexample.clone()),
+            counterexample,
             cases_run: results
                 .iter()
                 .filter(|r| r.verdict != Verdict::Canceled)
@@ -541,6 +586,7 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     span.record(Counter::CampaignMutants, report.outcomes.len() as u64);
     span.record(Counter::CampaignKilled, report.killed() as u64);
     span.record(Counter::CampaignSurvived, report.survived() as u64);
+    span.record(Counter::CampaignUncovered, report.uncovered() as u64);
     span.record(
         Counter::CampaignBudgetExceeded,
         report.budget_exceeded() as u64,
@@ -553,4 +599,71 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
     run.tracer.flush();
 
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::runner::unrun_result;
+
+    fn result(case: CaseId, verdict: Verdict) -> CaseResult {
+        let mut r = unrun_result(FpuOp::Fma, case, verdict, None);
+        if verdict == Verdict::Fails {
+            r.counterexample = Some(CounterExample {
+                assignment: HashMap::new(),
+                a: 1,
+                b: 2,
+                c: 3,
+                op: FpuOp::Fma.encode(),
+                rm: 0,
+                replay_confirmed: true,
+            });
+        }
+        r
+    }
+
+    const CASE: CaseId = CaseId::OverlapNoCancel { delta: 1 };
+
+    #[test]
+    fn a_failing_routed_case_kills() {
+        for others in [Verdict::Holds, Verdict::Canceled, Verdict::BudgetExceeded] {
+            let (status, cex) =
+                classify(&[result(CaseId::FarOut, others), result(CASE, Verdict::Fails)]);
+            assert_eq!(
+                status,
+                MutantStatus::Killed {
+                    case: CASE,
+                    replay_confirmed: true
+                }
+            );
+            assert_eq!(cex.map(|c| (c.a, c.b, c.c)), Some((1, 2, 3)));
+        }
+    }
+
+    #[test]
+    fn routed_cases_that_all_hold_survive() {
+        let (status, cex) = classify(&[result(CASE, Verdict::Holds)]);
+        assert_eq!(status, MutantStatus::Survived);
+        assert!(cex.is_none());
+    }
+
+    #[test]
+    fn a_witness_in_no_case_is_uncovered() {
+        let (status, cex) = classify(&[]);
+        assert_eq!(status, MutantStatus::Uncovered);
+        assert!(cex.is_none());
+    }
+
+    #[test]
+    fn an_undecided_routed_case_exceeds_the_budget() {
+        for verdict in [Verdict::BudgetExceeded, Verdict::Error] {
+            let (status, _) = classify(&[
+                result(CaseId::FarOut, Verdict::Holds),
+                result(CASE, verdict),
+            ]);
+            assert_eq!(status, MutantStatus::BudgetExceeded, "{verdict:?}");
+        }
+    }
 }

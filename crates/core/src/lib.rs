@@ -152,7 +152,8 @@ pub use runner::{
 };
 pub use semi_formal::{semi_formal_check, SemiFormalOutcome};
 pub use sequential::{
-    engine_view, find_constraints, probe_constraints, unroll_harness, UnrolledHarness,
+    admitting_cases, engine_view, find_constraints, probe_constraints, unroll_harness,
+    UnrolledHarness,
 };
 pub use session::Session;
 pub use trace::{Counter, MetricSet, Span, SpanKind, TraceEvent, Tracer};

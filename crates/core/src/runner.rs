@@ -450,7 +450,12 @@ fn next_job(
 
 /// The result of a case no engine ran on: canceled, or rejected with
 /// `error`.
-fn unrun_result(op: FpuOp, case: CaseId, verdict: Verdict, error: Option<Error>) -> CaseResult {
+pub(crate) fn unrun_result(
+    op: FpuOp,
+    case: CaseId,
+    verdict: Verdict,
+    error: Option<Error>,
+) -> CaseResult {
     CaseResult {
         case,
         op,

@@ -14,12 +14,13 @@
 //! loop) and [`unroll_harness`] name the case constraints as probes
 //! ([`probe_constraints`]) and re-locate them in the netlist the engines
 //! check ([`engine_view`]); [`find_constraints`] locates them in the
-//! probed netlist itself. Unrolling holds the inputs under their original
+//! probed netlist itself, and [`admitting_cases`] reads them off a
+//! simulated input vector. Unrolling holds the inputs under their original
 //! names, so counterexamples and rebinding read the same names in every
 //! view; outputs and probes carry an `@cycle` suffix.
 
 use fmaverify_fpu::{FpuOp, PipelineMode};
-use fmaverify_netlist::{unroll, InputMode, Netlist, Signal};
+use fmaverify_netlist::{unroll, BitSim, InputMode, Netlist, Signal};
 
 use crate::cases::CaseId;
 use crate::harness::Harness;
@@ -124,6 +125,20 @@ pub fn find_constraints(netlist: &Netlist, probes: &[(CaseId, Vec<String>)]) -> 
     locate(netlist, probes, "")
         .into_iter()
         .flat_map(|(_, parts)| parts)
+        .collect()
+}
+
+/// The cases of `constraints` ([`engine_view`]) whose parts all hold in
+/// `sim`'s last evaluation: the cases that admit the simulated input
+/// vector. `sim` must simulate the netlist the parts were located in.
+pub fn admitting_cases(
+    sim: &BitSim,
+    constraints: &[(CaseId, Vec<Signal>)],
+) -> Vec<(CaseId, Vec<Signal>)> {
+    constraints
+        .iter()
+        .filter(|(_, parts)| parts.iter().all(|&p| sim.get(p)))
+        .cloned()
         .collect()
 }
 

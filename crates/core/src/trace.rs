@@ -98,14 +98,18 @@ pub enum Counter {
     CacheMisses,
     /// Proof cache: fresh verdicts written back to the cache.
     CacheStores,
-    /// Mutation campaign: mutants verified (killed + survived + budget).
+    /// Mutation campaign: mutants verified (killed + survived + uncovered
+    /// + budget).
     CampaignMutants,
     /// Mutation campaign: mutants killed by a replay-confirmed
     /// counterexample.
     CampaignKilled,
-    /// Mutation campaign: mutants every case of which held — a coverage
-    /// hole or checker bug.
+    /// Mutation campaign: mutants whose witness's cases all held — the
+    /// engine missed a concrete counterexample.
     CampaignSurvived,
+    /// Mutation campaign: mutants whose witness lies in no case — the case
+    /// split misses an input.
+    CampaignUncovered,
     /// Mutation campaign: mutants left undecided by engine budgets.
     CampaignBudgetExceeded,
     /// Mutation campaign: sampled candidate faults skipped because random
@@ -115,7 +119,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::BddIteCalls,
         Counter::BddCacheHits,
         Counter::BddCacheMisses,
@@ -143,6 +147,7 @@ impl Counter {
         Counter::CampaignMutants,
         Counter::CampaignKilled,
         Counter::CampaignSurvived,
+        Counter::CampaignUncovered,
         Counter::CampaignBudgetExceeded,
         Counter::CampaignSkippedUnobserved,
     ];
@@ -177,6 +182,7 @@ impl Counter {
             Counter::CampaignMutants => "campaign.mutants",
             Counter::CampaignKilled => "campaign.killed",
             Counter::CampaignSurvived => "campaign.survived",
+            Counter::CampaignUncovered => "campaign.uncovered",
             Counter::CampaignBudgetExceeded => "campaign.budget_exceeded",
             Counter::CampaignSkippedUnobserved => "campaign.skipped_unobserved",
         }

@@ -1,15 +1,18 @@
 //! End-to-end mutation-coverage campaigns: every seeded fault must be
-//! killed with a replay-confirmed counterexample, pipelined campaigns must
-//! reach gates behind the stage registers (the sequential blind spot the
-//! fault injector used to have), and warm reruns must replay cases from
-//! the proof cache.
+//! killed with a replay-confirmed counterexample inside the case its
+//! witness lies in, pipelined campaigns must reach gates behind the stage
+//! registers (the sequential blind spot the fault injector used to have),
+//! multi-worker campaigns must be reproducible, and warm reruns must replay
+//! cases from the proof cache.
 
 use std::path::PathBuf;
 
 use fmaverify::{
-    run_campaign, CacheMode, CaseClass, HarnessOptions, MutantStatus, MutationKind, RunConfig,
+    campaign_harness, run_campaign, CacheMode, CaseClass, HarnessOptions, MutantStatus,
+    MutationKind, RunConfig,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
+use fmaverify_netlist::BitSim;
 use fmaverify_softfloat::FpFormat;
 
 fn tiny() -> FpuConfig {
@@ -116,7 +119,7 @@ fn warm_campaign_replays_cases_from_the_cache() {
     let warm = run_campaign(&tiny(), FpuOp::Mul, &config);
 
     // Same seed, same sample: the warm campaign verifies the same mutants
-    // and replays the cases whose fingerprints the faults left unchanged.
+    // and replays the cases the cold campaign proved.
     assert_eq!(warm.outcomes.len(), cold.outcomes.len());
     for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
         assert_eq!(c.mutation.node, w.mutation.node);
@@ -143,4 +146,65 @@ fn campaign_counts_every_mutation_kind() {
         MutationKind::ALL.len(),
         "a 25-mutant sample should kill every kind at least once"
     );
+}
+
+#[test]
+fn fma_kills_satisfy_their_killing_case() {
+    let cfg = tiny();
+    let run = campaign_config(8, 7);
+    let report = run_campaign(&cfg, FpuOp::Fma, &run);
+    assert_eq!(report.killed(), report.outcomes.len(), "{report:?}");
+
+    // The engine proved the killing case under its constraint parts, so
+    // the counterexample must satisfy them on the clean harness too.
+    let mut clean = campaign_harness(&cfg, &run);
+    for o in &report.outcomes {
+        let MutantStatus::Killed { case, .. } = o.status else {
+            unreachable!("every mutant was killed");
+        };
+        let cex = o.counterexample.as_ref().expect("a kill carries its cex");
+        let parts = clean.case_constraint_parts(FpuOp::Fma, case);
+        let inputs = &clean.inputs;
+        let mut sim = BitSim::new(&clean.netlist);
+        sim.set_word(&inputs.a, cex.a);
+        sim.set_word(&inputs.b, cex.b);
+        sim.set_word(&inputs.c, cex.c);
+        sim.set_word(&inputs.op, u128::from(cex.op));
+        sim.set_word(&inputs.rm, u128::from(cex.rm));
+        sim.eval();
+        assert!(
+            parts.iter().all(|&p| sim.get(p)),
+            "{:?} at {:?}: the counterexample lies outside {}",
+            o.mutation.kind,
+            o.mutation.node,
+            case.label()
+        );
+    }
+}
+
+#[test]
+fn multi_worker_campaigns_are_reproducible() {
+    // Two workers, the same seed, a fresh cache each time: each mutant runs
+    // only its witness's case, so no second failing case can race the
+    // first and the outcomes repeat exactly.
+    let runs: Vec<_> = ["repro-a", "repro-b"]
+        .into_iter()
+        .map(|tag| {
+            let dir = TempDir::new(tag);
+            let config = RunConfig {
+                cache_mode: CacheMode::ReadWrite,
+                cache_dir: dir.0.clone(),
+                ..campaign_config(12, 7)
+            };
+            run_campaign(&tiny(), FpuOp::Fma, &config)
+        })
+        .collect();
+    let (a, b) = (&runs[0], &runs[1]);
+    assert_eq!(a.outcomes.len(), 12);
+    assert_eq!(b.outcomes.len(), a.outcomes.len());
+    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+        assert_eq!(x.mutation, y.mutation);
+        assert_eq!(x.status, y.status, "{:?}", x.mutation);
+        assert_eq!((x.cases_run, y.cases_run), (1, 1), "{:?}", x.mutation);
+    }
 }

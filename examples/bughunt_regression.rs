@@ -23,8 +23,8 @@ fn main() {
     let op = FpuOp::Fma;
     println!("== bug hunt at {:?} ==\n", cfg.format);
 
-    // One sampled mutant with a simulation witness, verified case by case
-    // until a case fails.
+    // One sampled mutant with a simulation witness, verified on the case
+    // the witness lies in.
     let run = RunConfig {
         mutants: Some(1),
         ..RunConfig::default()
