@@ -40,7 +40,7 @@ use fmaverify_fpu::FpuOp;
 use fmaverify_netlist::{Sha256, Signal};
 
 use crate::cases::CaseId;
-use crate::engine::{EngineBudget, EngineKind, EngineStats};
+use crate::engine::{EngineBudget, EngineKind, EngineStats, ENGINE_NAMES};
 use crate::harness::Harness;
 use crate::json::{duration_json, JsonValue, ToJson};
 use crate::runner::{CaseAttempt, CounterExample, EngineStage, Verdict};
@@ -370,14 +370,10 @@ impl ProofCache {
 /// Maps a stored engine-name string back to the static name the engines
 /// use, so replayed results render identically to fresh ones.
 fn intern_engine_name(name: &str) -> &'static str {
-    match name {
-        "bdd/constrain" => "bdd/constrain",
-        "bdd/restrict" => "bdd/restrict",
-        "bdd/plain" => "bdd/plain",
-        "sat" => "sat",
-        "sat/sweep" => "sat/sweep",
-        _ => "cached",
-    }
+    ENGINE_NAMES
+        .into_iter()
+        .find(|&n| n == name)
+        .unwrap_or("cached")
 }
 
 fn parse_duration(v: Option<&JsonValue>) -> Option<Duration> {

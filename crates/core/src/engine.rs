@@ -132,6 +132,16 @@ impl EngineOutcome {
     }
 }
 
+/// The [`CaseEngine::name`] of every engine configuration, the names a
+/// proof-cache entry may carry.
+pub(crate) const ENGINE_NAMES: [&str; 5] = [
+    "bdd/constrain",
+    "bdd/restrict",
+    "bdd/plain",
+    "sat",
+    "sat/sweep",
+];
+
 /// A decision procedure for one case of the split.
 ///
 /// Implementations are stateless (all mutable state lives inside one
@@ -318,4 +328,24 @@ fn bdd_outcome_to_engine(out: BddOutcome) -> EngineOutcome {
         }
     };
     EngineOutcome { verdict, stats }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_engine_configuration_is_named_in_the_list() {
+        let bdd = [Minimize::Constrain, Minimize::Restrict, Minimize::None].map(|minimize| {
+            BddCaseEngine {
+                minimize,
+                ..BddCaseEngine::default()
+            }
+            .name()
+        });
+        let sat = [false, true].map(|sweep_first| SatCaseEngine { sweep_first }.name());
+        for name in bdd.into_iter().chain(sat) {
+            assert!(ENGINE_NAMES.contains(&name), "{name} is not listed");
+        }
+    }
 }

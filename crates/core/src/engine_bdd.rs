@@ -1,17 +1,16 @@
 //! BDD symbolic simulation of a miter under a care-set constraint.
 //!
-//! Paper §5: "The BDD-based symbolic simulator operates directly upon the
-//! sequential netlist" — no unfolding. The engine assigns a BDD variable to
-//! every primary input following a static order (the paper's orders put
-//! operand exponents first and interleave the fractions with the `S'`,`T'`
-//! pseudo-inputs) and evaluates the constraint cone to obtain the care set.
-//! It then steps the netlist cycle by cycle: each register holds a BDD over
-//! the input variables, starting from its reset value, and every cycle
-//! evaluates the next-state functions in topological order with care-set
-//! minimization applied. The operands are held constant (the driver issues
-//! one instruction into an empty FPU), so the same variables serve every
-//! cycle, and the miter is examined at the result-valid cycle. A
-//! combinational check is the same simulation at cycle 0.
+//! The engine assigns a BDD variable to every primary input following a
+//! static order (the paper's orders put operand exponents first and
+//! interleave the fractions with the `S'`,`T'` pseudo-inputs), evaluates
+//! the constraint cone to obtain the care set, then evaluates the miter's
+//! cone in topological order with care-set minimization applied.
+//!
+//! The netlist it checks is combinational. Paper §5 simulates the
+//! sequential netlist cycle by cycle; here a pipelined design reaches the
+//! engine as its bounded unrolling with the operands held
+//! ([`crate::sequential::engine_view`]), the one model both engines check.
+//! A register left in the cone reads its reset value.
 //!
 //! The simulation is gate-aware. Before each pass it plans the cone from
 //! the roots down: an AND node that heads an XOR or MUX structure of the
@@ -109,60 +108,23 @@ pub struct BddOutcome {
 }
 
 /// Checks that `miter` is false everywhere on the care set, given as a
-/// conjunction of `care_parts` (constraint signals of the same netlist),
-/// with every register at its reset value: the combinational check, cycle
-/// 0 of [`check_miter_bdd_sequential`].
+/// conjunction of `care_parts` (constraint signals of the same netlist).
 ///
 /// The parts are conjoined progressively, cheapest cone first, with the
 /// accumulated care set minimizing the evaluation of the next part — this
 /// is how the cheap `C_δ` constraint bounds the BDDs built for the
 /// expensive `C_sha` cone (the reference FPU's aligner, adder and
 /// leading-zero counter).
+///
+/// # Panics
+/// Panics if an order entry is not a non-inverted primary input.
 pub fn check_miter_bdd_parts(
     netlist: &Netlist,
     miter: Signal,
     care_parts: &[Signal],
     opts: &BddEngineOptions,
 ) -> BddOutcome {
-    check_miter_bdd_sequential(netlist, miter, care_parts, 0, opts)
-}
-
-/// Checks `miter AND care == false` at cycle `check_cycle` of the sequential
-/// netlist by stepping BDDs through the registers (inputs held).
-///
-/// After cycle 0 the care parts must be combinational functions of the
-/// primary inputs (as the paper's constraints are: operand exponents and
-/// the reference FPU's `sha`, whose cone contains no registers).
-///
-/// # Panics
-/// Panics if `check_cycle > 0` and a care part's cone contains a register,
-/// or if an order entry is not a non-inverted primary input.
-pub fn check_miter_bdd_sequential(
-    netlist: &Netlist,
-    miter: Signal,
-    care_parts: &[Signal],
-    check_cycle: usize,
-    opts: &BddEngineOptions,
-) -> BddOutcome {
-    if check_cycle > 0 {
-        netlist.assert_closed();
-        for part in care_parts {
-            let cone = netlist.comb_cone(&[*part]);
-            assert!(
-                netlist.latches().iter().all(|l| !cone[l.index()]),
-                "care part {part:?} depends on register state"
-            );
-        }
-    }
     let mut sim = Simulation::new(netlist, opts);
-    let latches = netlist.latches();
-    let mut state: Vec<Bdd> = latches
-        .iter()
-        .map(|&l| match netlist.node(l) {
-            Node::Latch { init: true, .. } => Bdd::TRUE,
-            _ => Bdd::FALSE,
-        })
-        .collect();
 
     // Care set: evaluate the parts cheapest cone first, each one minimized
     // against the conjunction of the previous parts. Because
@@ -171,7 +133,7 @@ pub fn check_miter_bdd_sequential(
     let mut parts: Vec<Signal> = care_parts.to_vec();
     parts.sort_by_key(|&p| netlist.cone_size(&[p]));
     for part in parts {
-        let Some(values) = sim.eval(&[part], &state, false) else {
+        let Some(values) = sim.eval(&[part], false) else {
             return sim.aborted(0);
         };
         let part_bdd = edge(&values, part);
@@ -186,21 +148,7 @@ pub fn check_miter_bdd_sequential(
     }
     let care_nodes = sim.mgr.reachable_count(&[sim.care]);
 
-    // Step the registers to the check cycle, then evaluate the miter.
-    let next: Vec<Signal> = latches
-        .iter()
-        .map(|&l| match netlist.node(l) {
-            Node::Latch { next, .. } => *next,
-            _ => unreachable!("latches() returned a non-latch node"),
-        })
-        .collect();
-    for _ in 0..check_cycle {
-        let Some(values) = sim.eval(&next, &state, true) else {
-            return sim.aborted(care_nodes);
-        };
-        state = next.iter().map(|&s| edge(&values, s)).collect();
-    }
-    let Some(values) = sim.eval(&[miter], &state, true) else {
+    let Some(values) = sim.eval(&[miter], true) else {
         return sim.aborted(care_nodes);
     };
     let bad = sim.mgr.and(edge(&values, miter), sim.care);
@@ -263,29 +211,23 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Evaluates the combinational cones of `roots` with the registers
-    /// holding `state` (one BDD per latch, in [`Netlist::latches`] order),
-    /// minimized against the care set. Returns the node values, the roots'
-    /// among them, or `None` when the node limit aborts the run.
+    /// Evaluates the combinational cones of `roots`, minimized against the
+    /// care set. Returns the node values, the roots' among them, or `None`
+    /// when the node limit aborts the run.
     ///
     /// AND nodes are evaluated as [`plan`] says: an XOR or MUX structure
     /// costs one ITE, and the two ANDs it absorbs get no value.
     ///
-    /// With `collect` (the register and miter passes) an operand is released
+    /// With `collect` (the miter pass) an operand is released
     /// after its last use and the arena is collected under the dead-fraction
     /// trigger, the node limit checked after each collection. Without it
     /// (a care part, whose values all stay live until it is conjoined) the
     /// node limit is checked before every gate.
-    fn eval(&mut self, roots: &[Signal], state: &[Bdd], collect: bool) -> Option<Vec<Option<Bdd>>> {
+    fn eval(&mut self, roots: &[Signal], collect: bool) -> Option<Vec<Option<Bdd>>> {
         let netlist = self.netlist;
         let cone = netlist.comb_cone(roots);
         let plan = plan(netlist, &cone, roots);
         let mut values: Vec<Option<Bdd>> = vec![None; netlist.num_nodes()];
-        for (&l, &s) in netlist.latches().iter().zip(state) {
-            if cone[l.index()] {
-                values[l.index()] = Some(s);
-            }
-        }
         // Remaining-use counts for value liveness (so GC can free dead
         // nodes), over the planned gates' fanins; the roots keep one use
         // each to the end.
@@ -310,9 +252,10 @@ impl<'a> Simulation<'a> {
             }
             let gate = plan[id.index()];
             let v = match netlist.node(id) {
-                Node::Const => Bdd::FALSE,
+                // A register reads its reset value.
+                Node::Const | Node::Latch { init: false, .. } => Bdd::FALSE,
+                Node::Latch { init: true, .. } => Bdd::TRUE,
                 Node::Input { .. } => self.input_value(id),
-                Node::Latch { .. } => values[id.index()].expect("register state seeded"),
                 Node::And(..) => {
                     // An AND without a plan is absorbed: its reader's
                     // structure reads past it.
@@ -482,11 +425,10 @@ fn edge(values: &[Option<Bdd>], sig: Signal) -> Bdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cases::{enumerate_cases, CaseId};
+    use crate::cases::CaseId;
     use crate::harness::{build_harness, HarnessOptions};
     use crate::order::paper_order;
-    use crate::sequential::{engine_view, find_constraints, probe_constraints};
-    use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, PipelineMode};
+    use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
     use fmaverify_softfloat::FpFormat;
 
     /// A tiny miter: two adders built differently must agree; with a bug
@@ -550,7 +492,7 @@ mod tests {
     /// A simulation of `n` under `opts` whose care set is `care`.
     fn simulation<'a>(n: &'a Netlist, opts: &'a BddEngineOptions, care: Signal) -> Simulation<'a> {
         let mut sim = Simulation::new(n, opts);
-        let values = sim.eval(&[care], &[], false).expect("no node limit");
+        let values = sim.eval(&[care], false).expect("no node limit");
         sim.care = edge(&values, care);
         sim
     }
@@ -558,7 +500,7 @@ mod tests {
     /// The roots' values from the engine's planned evaluation, checking
     /// that the pass released every other value after its last use.
     fn eval_planned(sim: &mut Simulation, roots: &[Signal]) -> Vec<Bdd> {
-        let values = sim.eval(roots, &[], true).expect("no node limit");
+        let values = sim.eval(roots, true).expect("no node limit");
         for (i, v) in values.iter().enumerate() {
             let is_root = roots.iter().any(|r| r.node().index() == i);
             assert!(v.is_none() || is_root, "node {i} is still live");
@@ -863,13 +805,12 @@ mod tests {
     }
 
     #[test]
-    fn node_limit_aborts_at_cycle_zero() {
+    fn node_limit_aborts_the_care_pass() {
         let (harness, parts, opts) = combinational_case();
-        let out = check_miter_bdd_sequential(
+        let out = check_miter_bdd_parts(
             &harness.netlist,
             harness.miter,
             &parts,
-            0,
             &BddEngineOptions {
                 node_limit: Some(1),
                 ..opts
@@ -877,141 +818,25 @@ mod tests {
         );
         assert!(out.aborted);
         assert!(!out.holds);
+        assert_eq!(out.care_nodes, 0, "aborted before the care set was built");
     }
 
     #[test]
-    fn cycle_zero_is_the_combinational_check() {
+    fn collection_fires_inside_a_pass() {
         let (harness, parts, opts) = combinational_case();
-        let seq = check_miter_bdd_sequential(&harness.netlist, harness.miter, &parts, 0, &opts);
-        let comb = check_miter_bdd_parts(&harness.netlist, harness.miter, &parts, &opts);
-        assert!(seq.holds && comb.holds);
-        assert_eq!(seq.peak_nodes, comb.peak_nodes);
-        assert_eq!(seq.care_nodes, comb.care_nodes);
-        assert_eq!(seq.manager_stats, comb.manager_stats);
-    }
-
-    /// The (3,2) harness with a three-stage pipelined implementation.
-    fn pipelined_harness() -> crate::harness::Harness {
-        build_harness(
-            &tiny_cfg(),
-            HarnessOptions {
-                pipeline: PipelineMode::ThreeStage,
-                ..HarnessOptions::default()
-            },
-        )
-    }
-
-    /// `netlist` with its first AND gate that feeds a register's
-    /// next-state function inverted (a sequential-only bug).
-    fn register_fault(netlist: &Netlist) -> Netlist {
-        let target = netlist
-            .latches()
-            .iter()
-            .find_map(|&l| match netlist.node(l) {
-                Node::Latch { next, .. } if matches!(netlist.node(next.node()), Node::And(..)) => {
-                    Some(next.node())
-                }
-                _ => None,
-            })
-            .expect("a register fed by logic");
-        crate::mutate::inject_fault(netlist, target, crate::mutate::MutationKind::InvertOutput)
-    }
-
-    #[test]
-    fn pipelined_case_collects_inside_a_cycle() {
-        let mut harness = pipelined_harness();
-        let latency = PipelineMode::ThreeStage.latency();
-        let parts = harness.case_constraint_parts(FpuOp::Fma, CaseId::OverlapNoCancel { delta: 3 });
-        let out = check_miter_bdd_sequential(
+        let out = check_miter_bdd_parts(
             &harness.netlist,
             harness.miter,
             &parts,
-            latency,
             &BddEngineOptions {
                 gc_threshold: 1_000,
-                ..BddEngineOptions::default()
+                ..opts
             },
         );
         assert!(out.holds && !out.aborted);
-        // One collection per care part, and more than one per cycle on top.
+        // One collection per care part, and more than one in the miter
+        // pass on top.
         let gc_runs = out.manager_stats.gc_runs as usize;
-        assert!(gc_runs > parts.len() + latency, "{gc_runs} collections");
-    }
-
-    /// The paper's engine on the sequential netlist and the unrolled view
-    /// every runner checks ([`engine_view`]) must agree, on the clean
-    /// design (every sampled case holds) and on a register fault (some
-    /// sampled case fails in both).
-    #[test]
-    fn sequential_engine_verifies_pipelined_cases() {
-        let mut harness = pipelined_harness();
-        let latency = PipelineMode::ThreeStage.latency();
-        // A representative subset (the full sweep is covered by the
-        // unrolling test).
-        let cases: Vec<CaseId> = enumerate_cases(&tiny_cfg(), FpuOp::Fma)
-            .into_iter()
-            .step_by(7)
-            .collect();
-        let probes = probe_constraints(&mut harness, FpuOp::Fma, &cases);
-        let faulty = register_fault(&harness.netlist);
-        for (netlist, clean) in [(harness.netlist.clone(), true), (faulty, false)] {
-            let (view, constraints) = engine_view(&harness, netlist.clone(), &probes);
-            let miter = netlist.find_output("miter").expect("miter");
-            let mut failures = 0;
-            for (probe, (case, unrolled_parts)) in probes.iter().zip(&constraints) {
-                let parts = find_constraints(&netlist, std::slice::from_ref(probe));
-                let opts = BddEngineOptions::default();
-                let seq = check_miter_bdd_sequential(&netlist, miter, &parts, latency, &opts);
-                let unrolled =
-                    check_miter_bdd_parts(&view.netlist, view.miter, unrolled_parts, &opts);
-                assert!(!seq.aborted && !unrolled.aborted, "case {case:?}");
-                assert_eq!(seq.holds, unrolled.holds, "engines disagree on {case:?}");
-                failures += usize::from(!seq.holds);
-            }
-            if clean {
-                assert_eq!(failures, 0, "the clean design must hold");
-            } else {
-                assert!(failures > 0, "the register fault must be visible");
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_engine_finds_pipelined_bugs() {
-        let mut harness = pipelined_harness();
-        let case = CaseId::OverlapNoCancel { delta: 3 };
-        let probes = probe_constraints(&mut harness, FpuOp::Fma, &[case]);
-        let mutated = register_fault(&harness.netlist);
-        let miter = mutated.find_output("miter").expect("miter");
-        // The sequential engine checks the mutant itself, not its unrolled
-        // view, so the parts are located in the mutant.
-        let parts = find_constraints(&mutated, &probes);
-        let out = check_miter_bdd_sequential(
-            &mutated,
-            miter,
-            &parts,
-            PipelineMode::ThreeStage.latency(),
-            &BddEngineOptions::default(),
-        );
-        // The fault sits in this case's cone or not; if the case holds, try
-        // the unconstrained space, which must expose an inverted gate that
-        // feeds state.
-        if out.holds {
-            let out2 = check_miter_bdd_sequential(
-                &mutated,
-                miter,
-                &[Signal::TRUE],
-                PipelineMode::ThreeStage.latency(),
-                &BddEngineOptions::default(),
-            );
-            assert!(
-                !out2.holds,
-                "an inverted state-feeding gate must be visible"
-            );
-            let cex = out2.counterexample.expect("cex");
-            assert!(!cex.is_empty());
-        } else {
-            assert!(out.counterexample.is_some());
-        }
+        assert!(gc_runs > parts.len() + 1, "{gc_runs} collections");
     }
 }

@@ -17,8 +17,8 @@
 //!   counterexample / budget-exceeded / error) with uniform
 //!   [`engine::EngineStats`];
 //! * [`engine_bdd`] / [`engine_sat`] — BDD symbolic simulation with
-//!   care-set minimization (combinational, or cycle-accurate on a
-//!   sequential netlist) and structural SAT, both behind the trait;
+//!   care-set minimization and structural SAT on a combinational netlist
+//!   (a pipelined harness is unrolled first), both behind the trait;
 //! * [`order`] — the paper's static variable orders;
 //! * [`isolation`] — the multiplier-isolation soundness obligation and the
 //!   automatic derivation of the implementation-specific `S'`,`T'` rules;
@@ -130,9 +130,7 @@ pub use engine::{
     BddCaseEngine, CaseEngine, EngineBudget, EngineKind, EngineOutcome, EngineStats, EngineVerdict,
     SatCaseEngine,
 };
-pub use engine_bdd::{
-    check_miter_bdd_parts, check_miter_bdd_sequential, BddEngineOptions, BddOutcome, Minimize,
-};
+pub use engine_bdd::{check_miter_bdd_parts, BddEngineOptions, BddOutcome, Minimize};
 pub use engine_sat::{check_miter_sat_parts, prove_tautology, SatEngineOptions, SatOutcome};
 pub use error::Error;
 pub use harness::{

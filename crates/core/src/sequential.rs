@@ -42,6 +42,11 @@ pub struct UnrolledHarness {
 /// constraint parts re-located in the unrolled netlist (constraints are
 /// functions of the held operands, so their cycle-0 copies are used).
 ///
+/// This is [`probe_constraints`] followed by [`engine_view`], the pair
+/// [`crate::Session::run`] and [`crate::run_campaign`] call themselves;
+/// it stays as a stand-alone entry point for callers outside the crate
+/// (the benchmark package's engine probes).
+///
 /// # Panics
 /// Panics if the harness was built combinationally (nothing to unroll).
 pub fn unroll_harness(
@@ -172,8 +177,12 @@ mod tests {
     use crate::engine_bdd::{check_miter_bdd_parts, BddEngineOptions};
     use crate::engine_sat::{check_miter_sat_parts, SatEngineOptions};
     use crate::harness::{build_harness, HarnessOptions};
+    use crate::mutate::{inject_fault, MutationKind};
     use fmaverify_fpu::{DenormalMode, FpuConfig};
+    use fmaverify_netlist::Node;
     use fmaverify_softfloat::FpFormat;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pipelined_fma_verifies_by_unrolling() {
@@ -221,5 +230,74 @@ mod tests {
         };
         let mut harness = build_harness(&cfg, HarnessOptions::default());
         let _ = unroll_harness(&mut harness, FpuOp::Fma, &[CaseId::FarOut]);
+    }
+
+    /// `netlist` with its first AND gate that feeds a register's
+    /// next-state function inverted (a sequential-only bug).
+    fn register_fault(netlist: &Netlist) -> Netlist {
+        let target = netlist
+            .latches()
+            .iter()
+            .find_map(|&l| match netlist.node(l) {
+                Node::Latch { next, .. } if matches!(netlist.node(next.node()), Node::And(..)) => {
+                    Some(next.node())
+                }
+                _ => None,
+            })
+            .expect("a register fed by logic");
+        inject_fault(netlist, target, MutationKind::InvertOutput)
+    }
+
+    /// The unrolled view the engines check is the pipelined design: on
+    /// random input vectors, stepping the register netlist to its latency
+    /// gives the same miter as the view's `miter@latency`, clean and with
+    /// a register fault. Without multiplier isolation (whose free `S'`,`T'`
+    /// pseudo-inputs fire the miter) no vector fires on the clean design
+    /// and some vector exposes the fault.
+    #[test]
+    fn engine_view_simulates_like_the_register_netlist() {
+        let cfg = FpuConfig {
+            format: FpFormat::new(3, 2),
+            denormals: DenormalMode::FlushToZero,
+        };
+        let pipeline = PipelineMode::ThreeStage;
+        let harness = build_harness(
+            &cfg,
+            HarnessOptions {
+                pipeline,
+                isolate_multiplier: false,
+                ..HarnessOptions::default()
+            },
+        );
+        let faulty = register_fault(&harness.netlist);
+        let mut rng = StdRng::seed_from_u64(23);
+        for (netlist, clean) in [(harness.netlist.clone(), true), (faulty, false)] {
+            let (view, _) = engine_view(&harness, netlist.clone(), &[]);
+            let miter = netlist.find_output("miter").expect("miter");
+            let mut fired = 0;
+            for _ in 0..64 {
+                let mut stepped = BitSim::new(&netlist);
+                let mut unrolled = BitSim::new(&view.netlist);
+                for &id in netlist.inputs() {
+                    let Node::Input { name } = netlist.node(id) else {
+                        unreachable!("inputs() returned a non-input node");
+                    };
+                    let value = rng.gen::<bool>();
+                    stepped.set(netlist.signal(id), value);
+                    unrolled.set(view.netlist.find_input(name).expect("held input"), value);
+                }
+                for _ in 0..pipeline.latency() {
+                    stepped.step();
+                }
+                unrolled.eval();
+                assert_eq!(
+                    stepped.get(miter),
+                    unrolled.get(view.miter),
+                    "clean: {clean}"
+                );
+                fired += usize::from(stepped.get(miter));
+            }
+            assert_eq!(fired > 0, !clean, "{fired} of 64 vectors fire");
+        }
     }
 }

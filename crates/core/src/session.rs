@@ -100,13 +100,6 @@ impl Session {
         self
     }
 
-    /// Attaches an already-open proof cache, shared with other sessions
-    /// (replayed verdicts are marked [`CaseResult::cached`]).
-    pub fn cache(mut self, cache: Arc<ProofCache>) -> Session {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Installs an external cancellation token, checked before every case.
     pub fn cancel(mut self, token: CancellationToken) -> Session {
         self.cancel = token;

@@ -4,12 +4,11 @@
 //! touch the disk.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use fmaverify::{
     build_harness, engine_view, fault_targets, find_constraints, inject_fault, probe_constraints,
     run_campaign, CacheMode, CaseId, Fingerprint, HarnessOptions, MutantOutcome, MutantStatus,
-    MutationKind, ProofCache, RunConfig, SchedulePolicy, Session, ToJson, Verdict,
+    MutationKind, RunConfig, SchedulePolicy, Session, ToJson,
 };
 use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
 use fmaverify_softfloat::FpFormat;
@@ -210,19 +209,4 @@ fn truncated_shard_degrades_to_reproving() {
     // Loading must not panic; the damaged cases simply re-prove.
     let report = session(&dir, CacheMode::ReadWrite).run(FpuOp::Mul);
     assert!(report.all_hold());
-}
-
-#[test]
-fn shared_cache_handle_serves_multiple_sessions() {
-    let dir = TempDir::new("shared");
-    let cache = Arc::new(ProofCache::open(&dir.0, CacheMode::ReadWrite));
-    let cfg = tiny();
-    let cold = Session::new(&cfg).cache(cache.clone()).run(FpuOp::Mul);
-    assert!(cold.all_hold());
-    let warm = Session::new(&cfg).cache(cache.clone()).run(FpuOp::Mul);
-    assert!(warm.results.iter().all(|r| r.cached));
-    let stats = cache.stats();
-    assert!(stats.hits >= warm.results.len() as u64);
-    assert!(stats.stores >= cold.results.len() as u64);
-    assert!(cold.results.iter().all(|r| r.verdict == Verdict::Holds));
 }
