@@ -16,7 +16,7 @@ use fmaverify::{
     prove_multiplier_soundness, BddEngineOptions, CaseId, HarnessOptions, ShaCase,
 };
 use fmaverify_bench::{banner, bench_config, compare, dur};
-use fmaverify_fpu::FpuOp;
+use fmaverify_fpu::{FpuOp, MultiplierMode};
 
 fn main() {
     banner(
@@ -97,8 +97,8 @@ fn main() {
     }
     println!();
 
-    let constants = derive_st_constants(&cfg, 600);
-    let soundness = prove_multiplier_soundness(&cfg, &constants);
+    let constants = derive_st_constants(&cfg, 600, MultiplierMode::Real);
+    let soundness = prove_multiplier_soundness(&cfg, &constants, MultiplierMode::Real);
     println!(
         "\nsoundness obligation: {} in {} with {} of {} FPU gates in the cone \
          ({} derived hot-one rules)",

@@ -9,7 +9,7 @@
 //! AND-array) and two pipeline depths: the isolated verification artifacts
 //! are shared verbatim; only the S'/T' rules are re-derived and re-proved.
 
-use fmaverify::{derive_st_constants_for, prove_multiplier_soundness_for, Session};
+use fmaverify::{derive_st_constants, prove_multiplier_soundness, Session};
 use fmaverify_bench::{banner, bench_config, compare, dur, run_config_from_env};
 use fmaverify_fpu::{FpuInputs, FpuOp, MultiplierMode, PipelineMode};
 use fmaverify_netlist::{BitSim, Netlist};
@@ -55,8 +55,8 @@ fn main() {
         ),
     ] {
         let t = Instant::now();
-        let constants = derive_st_constants_for(&cfg, 600, mode.clone());
-        let soundness = prove_multiplier_soundness_for(&cfg, &constants, mode.clone());
+        let constants = derive_st_constants(&cfg, 600, mode.clone());
+        let soundness = prove_multiplier_soundness(&cfg, &constants, mode.clone());
         let port_time = t.elapsed();
         assert!(soundness.holds);
         println!(

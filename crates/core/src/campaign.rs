@@ -497,7 +497,11 @@ pub fn run_campaign(cfg: &FpuConfig, op: FpuOp, run: &RunConfig) -> CampaignRepo
 
     // Faults go into the implementation's exclusive logic, never into the
     // reference FPU or the constraint logic.
-    let targets = fault_targets(&base, &find_constraints(&base.netlist, &probes));
+    let constraint_parts: Vec<Signal> = find_constraints(&base.netlist, &probes)
+        .into_iter()
+        .flat_map(|(_, parts)| parts)
+        .collect();
+    let targets = fault_targets(&base, &constraint_parts);
     assert!(
         !targets.is_empty(),
         "implementation cone contains no candidate gates"

@@ -144,12 +144,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the proof-cache mode (builder-style), keeping the directory.
-    pub fn cache(mut self, mode: CacheMode) -> RunConfig {
-        self.cache_mode = mode;
-        self
-    }
-
     /// Opens the proof cache this configuration asks for (`None` when the
     /// mode is [`CacheMode::Off`]).
     pub fn open_cache(&self) -> Option<Arc<ProofCache>> {
@@ -188,10 +182,10 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("fmaverify-config-test-{}", std::process::id()));
         let rc = RunConfig {
+            cache_mode: CacheMode::ReadWrite,
             cache_dir: dir.clone(),
             ..RunConfig::default()
-        }
-        .cache(CacheMode::ReadWrite);
+        };
         let cache = rc.open_cache().expect("cache opened");
         assert_eq!(cache.mode(), CacheMode::ReadWrite);
         assert_eq!(cache.dir(), dir.as_path());

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use crate::cases::CaseId;
 use crate::engine::EngineKind;
 
 /// Typed error for verification runs, telemetry sinks, and trace parsing.
@@ -32,11 +33,18 @@ pub enum Error {
         engine: EngineKind,
     },
     /// A harness handed to the scheduler still has registers. The engines
-    /// do not step registers, so every verdict would be false; unroll a
-    /// pipelined harness first ([`crate::sequential::unroll_harness`]).
+    /// do not step registers, so every verdict would be false; check a
+    /// pipelined harness through its unrolled view
+    /// ([`crate::sequential::engine_view`]).
     SequentialNetlist {
         /// Registers in the netlist.
         latches: usize,
+    },
+    /// The schedule policy gives a case an empty engine ladder
+    /// ([`crate::SchedulePolicy::ladder`]), so no engine can decide it.
+    EmptyLadder {
+        /// The case without engines.
+        case: CaseId,
     },
     /// An I/O failure, typically from a JSONL trace sink or a results
     /// writer. The underlying `std::io::Error` is rendered eagerly because
@@ -83,8 +91,9 @@ impl fmt::Display for Error {
             }
             Error::SequentialNetlist { latches } => write!(
                 f,
-                "netlist has {latches} registers; unroll the pipelined harness first"
+                "netlist has {latches} registers; check the pipelined harness through engine_view"
             ),
+            Error::EmptyLadder { case } => write!(f, "no engine in the ladder for case {case:?}"),
             Error::Io { context, message } => write!(f, "i/o error ({context}): {message}"),
             Error::JsonParse { offset, message } => {
                 write!(f, "json parse error at byte {offset}: {message}")

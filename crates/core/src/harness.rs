@@ -138,13 +138,11 @@ impl Harness {
 
     /// Re-points this harness at a rebuilt `netlist` and `miter` — after
     /// fault injection ([`crate::inject_fault`]) or unrolling
-    /// ([`fmaverify_netlist::unroll`]), both of which preserve names but
-    /// renumber nodes. The operand/opcode/rounding-mode inputs and the
-    /// `S'`/`T'` pseudo-inputs are re-located by name (an unrolled netlist
-    /// holds them under their original names), and the multiplier
-    /// constraint by its probe name (falling back to the cycle-0 copy
-    /// `mult_constraint@0` of an unrolled netlist), so the static BDD
-    /// variable orders and counterexample decoding stay valid.
+    /// ([`fmaverify_netlist::unroll`]), both of which keep the harness's
+    /// names but renumber nodes. The operand/opcode/rounding-mode inputs,
+    /// the `S'`/`T'` pseudo-inputs and the `mult_constraint` probe are
+    /// re-located by name, so the static BDD variable orders and
+    /// counterexample decoding stay valid.
     ///
     /// The FPU-internal handles (`ref_fpu`, `impl_fpu`) are *not*
     /// re-located: a rebound harness drives the proof engines
@@ -185,7 +183,6 @@ impl Harness {
         } else {
             netlist
                 .find_probe("mult_constraint")
-                .or_else(|| netlist.find_probe("mult_constraint@0"))
                 .expect("rebind: mult_constraint probe missing")
         };
         Harness {

@@ -36,16 +36,12 @@ pub struct SoundnessResult {
     pub duration: Duration,
 }
 
-/// Builds the real-multiplier netlist and proves by SAT that `S`,`T`
-/// satisfy [`multiplier_property`] with the given hot-one constants — the
-/// same signal the isolated harness assumes over `S'`,`T'`.
-pub fn prove_multiplier_soundness(cfg: &FpuConfig, st_constants: &[StConstant]) -> SoundnessResult {
-    prove_multiplier_soundness_for(cfg, st_constants, MultiplierMode::Real)
-}
-
-/// Variant-parametric soundness proof: porting the methodology to a new FPU
-/// implementation only requires re-running this with the new multiplier.
-pub fn prove_multiplier_soundness_for(
+/// Builds the implementation FPU with `multiplier` and proves by SAT that
+/// its `S`,`T` satisfy [`multiplier_property`] with the given hot-one
+/// constants — the same signal the isolated harness assumes over
+/// `S'`,`T'`. Porting the methodology to a new FPU implementation only
+/// requires re-running this with the new multiplier.
+pub fn prove_multiplier_soundness(
     cfg: &FpuConfig,
     st_constants: &[StConstant],
     multiplier: MultiplierMode,
@@ -73,16 +69,11 @@ pub fn prove_multiplier_soundness_for(
 }
 
 /// Automatically derives the implementation-specific `S'`,`T'` rules: bits
-/// of `S`/`T` that are constant across all inputs. Candidates come from
-/// random simulation; each is confirmed by a SAT proof. Porting the
-/// methodology to a new FPU re-runs this derivation — "only the rules for
-/// S' and T' had to be adjusted".
-pub fn derive_st_constants(cfg: &FpuConfig, sim_samples: usize) -> Vec<StConstant> {
-    derive_st_constants_for(cfg, sim_samples, MultiplierMode::Real)
-}
-
-/// Variant-parametric rule derivation (see [`derive_st_constants`]).
-pub fn derive_st_constants_for(
+/// of `S`/`T` of the implementation FPU with `multiplier` that are constant
+/// across all inputs. Candidates come from random simulation; each is
+/// confirmed by a SAT proof. Porting the methodology to a new FPU re-runs
+/// this derivation — "only the rules for S' and T' had to be adjusted".
+pub fn derive_st_constants(
     cfg: &FpuConfig,
     sim_samples: usize,
     multiplier: MultiplierMode,
@@ -170,7 +161,7 @@ mod tests {
     #[test]
     fn soundness_holds_micro() {
         for mode in [DenormalMode::FlushToZero, DenormalMode::FullIeee] {
-            let r = prove_multiplier_soundness(&micro(mode), &[]);
+            let r = prove_multiplier_soundness(&micro(mode), &[], MultiplierMode::Real);
             assert!(r.holds, "mode {mode:?}");
             assert!(
                 r.cone_ands < r.full_fpu_ands,
@@ -184,14 +175,14 @@ mod tests {
     #[test]
     fn derived_constants_are_sound() {
         let cfg = micro(DenormalMode::FlushToZero);
-        let constants = derive_st_constants(&cfg, 400);
+        let constants = derive_st_constants(&cfg, 400, MultiplierMode::Real);
         // The Booth encoding leaves at least one constant artifact bit.
         assert!(
             !constants.is_empty(),
             "expected hot-one constants in the Booth multiplier outputs"
         );
         // The soundness proof must still pass with the constants included.
-        let r = prove_multiplier_soundness(&cfg, &constants);
+        let r = prove_multiplier_soundness(&cfg, &constants, MultiplierMode::Real);
         assert!(r.holds);
     }
 
@@ -205,7 +196,7 @@ mod tests {
             bit: 0,
             value: true,
         }];
-        let r = prove_multiplier_soundness(&cfg, &bogus);
+        let r = prove_multiplier_soundness(&cfg, &bogus, MultiplierMode::Real);
         assert!(!r.holds, "a bogus S'/T' rule must be refuted");
     }
 }

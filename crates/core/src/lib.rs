@@ -136,10 +136,7 @@ pub use error::Error;
 pub use harness::{
     architected_delta, build_harness, multiplier_property, Harness, HarnessOptions, StConstant,
 };
-pub use isolation::{
-    derive_st_constants, derive_st_constants_for, prove_multiplier_soundness,
-    prove_multiplier_soundness_for, SoundnessResult,
-};
+pub use isolation::{derive_st_constants, prove_multiplier_soundness, SoundnessResult};
 pub use json::{JsonValue, ToJson, SCHEMA_VERSION};
 pub use mutate::{fault_targets, inject_fault, Mutation, MutationKind};
 pub use order::{naive_order, paper_order};

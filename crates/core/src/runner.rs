@@ -498,7 +498,9 @@ fn run_case(
     ladder: &[EngineStage],
     ctx: CaseCtx<'_>,
 ) -> CaseResult {
-    assert!(!ladder.is_empty(), "empty engine ladder for {case:?}");
+    if ladder.is_empty() {
+        return unrun_result(op, case, Verdict::Error, Some(Error::EmptyLadder { case }));
+    }
     let tracer = ctx.tracer;
     let mut case_span = tracer.span_child(ctx.parent, SpanKind::Case, || format!("{case:?}"));
     let start = Instant::now();

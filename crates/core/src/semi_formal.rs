@@ -184,7 +184,7 @@ mod tests {
         let probes = probe_constraints(&mut h, FpuOp::Fma, &[case]);
         // Find a fault observable under this very constraint by trying
         // fault sites until the semi-formal search trips one.
-        let targets = fault_targets(&h, &find_constraints(&h.netlist, &probes));
+        let targets = fault_targets(&h, &find_constraints(&h.netlist, &probes)[0].1);
         let mut found = false;
         for (k, &target) in targets.iter().enumerate().step_by(11) {
             let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);

@@ -12,15 +12,17 @@
 //! This is the one way a harness, pipelined or not, or a mutant reaches an
 //! engine: [`crate::Session::run`], [`crate::run_campaign`] (the one mutant
 //! loop) and [`unroll_harness`] name the case constraints as probes
-//! ([`probe_constraints`]) and re-locate them in the netlist the engines
-//! check ([`engine_view`]); [`find_constraints`] locates them in the
-//! probed netlist itself, and [`admitting_cases`] reads them off a
-//! simulated input vector. Unrolling holds the inputs under their original
-//! names, so counterexamples and rebinding read the same names in every
-//! view; outputs and probes carry an `@cycle` suffix.
+//! ([`probe_constraints`]) and locate them in the netlist the engines
+//! check ([`engine_view`]); [`find_constraints`] locates them by name in
+//! any of these netlists, and [`admitting_cases`] reads them off a
+//! simulated input vector. An unrolled view keeps the harness's names: its
+//! inputs are held under their own names, and its outputs and probes are
+//! declared once, at the last cycle. So a pipelined view reads like a
+//! combinational harness, and counterexamples, rebinding and constraint
+//! lookup use the same names in every view.
 
 use fmaverify_fpu::{FpuOp, PipelineMode};
-use fmaverify_netlist::{unroll, BitSim, InputMode, Netlist, Signal};
+use fmaverify_netlist::{unroll, BitSim, Netlist, Signal};
 
 use crate::cases::CaseId;
 use crate::harness::Harness;
@@ -39,8 +41,9 @@ pub struct UnrolledHarness {
 }
 
 /// Unrolls a pipelined harness and returns, for each requested case, the
-/// constraint parts re-located in the unrolled netlist (constraints are
-/// functions of the held operands, so their cycle-0 copies are used).
+/// constraint parts located in the unrolled netlist (constraints are
+/// functions of the held operands, so their last-cycle signal is the same
+/// node as their first-cycle one).
 ///
 /// This is [`probe_constraints`] followed by [`engine_view`], the pair
 /// [`crate::Session::run`] and [`crate::run_campaign`] call themselves;
@@ -102,34 +105,42 @@ pub fn probe_constraints(
 /// The harness the engines check for `netlist` — `base`'s netlist or a
 /// rebuilt copy of it (e.g. a mutant): a pipelined netlist is unrolled to
 /// its latency with the inputs held, a combinational one passes through.
-/// The harness is rebound to the result and the constraint parts named by
-/// `probes` ([`probe_constraints`]) are re-located by name.
+/// Either way the view keeps the harness's names, so the harness is rebound
+/// to it and the constraint parts named by `probes` ([`probe_constraints`])
+/// are located by name ([`find_constraints`]).
 pub fn engine_view(
     base: &Harness,
     netlist: Netlist,
     probes: &[(CaseId, Vec<String>)],
 ) -> (Harness, Vec<(CaseId, Vec<Signal>)>) {
-    let (netlist, miter_name, suffix) = match base.options().pipeline {
-        PipelineMode::Combinational => (netlist, "miter".to_string(), ""),
-        pipeline => {
-            let latency = pipeline.latency();
-            let unrolled = unroll(&netlist, latency + 1, InputMode::HoldFirst).netlist;
-            (unrolled, format!("miter@{latency}"), "@0")
-        }
+    let netlist = match base.options().pipeline {
+        PipelineMode::Combinational => netlist,
+        pipeline => unroll(&netlist, pipeline.latency() + 1),
     };
-    let miter = netlist.find_output(&miter_name).expect("miter output");
-    let constraints = locate(&netlist, probes, suffix);
+    let miter = netlist.find_output("miter").expect("miter output");
+    let constraints = find_constraints(&netlist, probes);
     (base.rebind(netlist, miter), constraints)
 }
 
 /// Every case's constraint parts named by `probes` ([`probe_constraints`]),
-/// in the netlist they were probed in or a rebuilt copy of it that is not
-/// unrolled: e.g. the logic [`crate::fault_targets`] keeps the faults out
-/// of.
-pub fn find_constraints(netlist: &Netlist, probes: &[(CaseId, Vec<String>)]) -> Vec<Signal> {
-    locate(netlist, probes, "")
-        .into_iter()
-        .flat_map(|(_, parts)| parts)
+/// in the netlist they were probed in, a rebuilt copy of it or its
+/// [`engine_view`].
+///
+/// # Panics
+/// Panics if a probe is missing from `netlist`.
+pub fn find_constraints(
+    netlist: &Netlist,
+    probes: &[(CaseId, Vec<String>)],
+) -> Vec<(CaseId, Vec<Signal>)> {
+    probes
+        .iter()
+        .map(|(case, names)| {
+            let parts = names
+                .iter()
+                .map(|n| netlist.find_probe(n).expect("constraint probe"))
+                .collect();
+            (*case, parts)
+        })
         .collect()
 }
 
@@ -144,29 +155,6 @@ pub fn admitting_cases(
         .iter()
         .filter(|(_, parts)| parts.iter().all(|&p| sim.get(p)))
         .cloned()
-        .collect()
-}
-
-/// Looks up every probe name of `probes`, with `suffix` appended, in
-/// `netlist`.
-fn locate(
-    netlist: &Netlist,
-    probes: &[(CaseId, Vec<String>)],
-    suffix: &str,
-) -> Vec<(CaseId, Vec<Signal>)> {
-    probes
-        .iter()
-        .map(|(case, names)| {
-            let parts = names
-                .iter()
-                .map(|n| {
-                    netlist
-                        .find_probe(&format!("{n}{suffix}"))
-                        .expect("constraint probe")
-                })
-                .collect();
-            (*case, parts)
-        })
         .collect()
 }
 
@@ -250,10 +238,11 @@ mod tests {
 
     /// The unrolled view the engines check is the pipelined design: on
     /// random input vectors, stepping the register netlist to its latency
-    /// gives the same miter as the view's `miter@latency`, clean and with
-    /// a register fault. Without multiplier isolation (whose free `S'`,`T'`
-    /// pseudo-inputs fire the miter) no vector fires on the clean design
-    /// and some vector exposes the fault.
+    /// gives the same miter and the same case constraint parts as the view
+    /// reads under the same names, clean and with a register fault.
+    /// Without multiplier isolation (whose free `S'`,`T'` pseudo-inputs
+    /// fire the miter) no vector fires on the clean design and some vector
+    /// exposes the fault.
     #[test]
     fn engine_view_simulates_like_the_register_netlist() {
         let cfg = FpuConfig {
@@ -261,7 +250,7 @@ mod tests {
             denormals: DenormalMode::FlushToZero,
         };
         let pipeline = PipelineMode::ThreeStage;
-        let harness = build_harness(
+        let mut harness = build_harness(
             &cfg,
             HarnessOptions {
                 pipeline,
@@ -269,11 +258,14 @@ mod tests {
                 ..HarnessOptions::default()
             },
         );
+        let probes =
+            probe_constraints(&mut harness, FpuOp::Fma, &enumerate_cases(&cfg, FpuOp::Fma));
         let faulty = register_fault(&harness.netlist);
         let mut rng = StdRng::seed_from_u64(23);
         for (netlist, clean) in [(harness.netlist.clone(), true), (faulty, false)] {
-            let (view, _) = engine_view(&harness, netlist.clone(), &[]);
+            let (view, view_parts) = engine_view(&harness, netlist.clone(), &probes);
             let miter = netlist.find_output("miter").expect("miter");
+            let parts = find_constraints(&netlist, &probes);
             let mut fired = 0;
             for _ in 0..64 {
                 let mut stepped = BitSim::new(&netlist);
@@ -295,6 +287,11 @@ mod tests {
                     unrolled.get(view.miter),
                     "clean: {clean}"
                 );
+                for ((case, reg), (_, view)) in parts.iter().zip(&view_parts) {
+                    for (&r, &v) in reg.iter().zip(view) {
+                        assert_eq!(stepped.get(r), unrolled.get(v), "{case:?}, clean: {clean}");
+                    }
+                }
                 fired += usize::from(stepped.get(miter));
             }
             assert_eq!(fired > 0, !clean, "{fired} of 64 vectors fire");

@@ -94,7 +94,7 @@ fn netlist_mutation_changes_the_fingerprint() {
     // hashes.
     let mut h = build_harness(&tiny(), HarnessOptions::default());
     let probes = probe_constraints(&mut h, op, &[case]);
-    let target = fault_targets(&h, &find_constraints(&h.netlist, &probes))[0];
+    let target = fault_targets(&h, &find_constraints(&h.netlist, &probes)[0].1)[0];
     let mutated = inject_fault(&h.netlist, target, MutationKind::InvertOutput);
     let (view, constraints) = engine_view(&h, mutated, &probes);
 

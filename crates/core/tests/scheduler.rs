@@ -367,3 +367,27 @@ fn run_prepared_rejects_a_harness_with_registers() {
         assert!(r.attempts.is_empty(), "no engine may run");
     }
 }
+
+#[test]
+fn an_empty_ladder_rejects_its_cases_without_panicking() {
+    let cfg = tiny();
+    let policy = SchedulePolicy {
+        overlap: vec![],
+        ..SchedulePolicy::from_config(&RunConfig::default())
+    };
+    let report = Session::new(&cfg).policy(policy).run(FpuOp::Fma);
+    assert_eq!(
+        report.results.len(),
+        enumerate_cases(&cfg, FpuOp::Fma).len()
+    );
+    assert!(report.results.iter().any(|r| r.case == CaseId::FarOut));
+    for r in &report.results {
+        if r.case == CaseId::FarOut {
+            assert_eq!(r.verdict, Verdict::Holds, "the far-out ladder still runs");
+        } else {
+            assert_eq!(r.verdict, Verdict::Error, "{:?}", r.case);
+            assert_eq!(r.error, Some(Error::EmptyLadder { case: r.case }));
+            assert!(r.attempts.is_empty(), "no engine may run");
+        }
+    }
+}

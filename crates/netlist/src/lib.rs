@@ -15,7 +15,7 @@
 //!   author the reference FPU;
 //! * [`BitSim`]/[`ParallelSim`] — sequential and 64-way bit-parallel
 //!   simulation (the sweep's candidate classes come from [`ParallelSim`]);
-//! * [`unroll`] — bounded unfolding into combinational logic for SAT;
+//! * [`unroll`] — bounded unfolding into combinational logic, inputs held;
 //! * [`Gate`] — recognition of the AIG's XOR and MUX structures, shared by
 //!   the gate-aware engines;
 //! * [`SatEncoder`]/[`encode_to_cnf`] — gate-aware Tseitin encoding of
@@ -66,7 +66,7 @@ pub use hash::Sha256;
 pub use sim::{BitSim, ParallelSim};
 pub use sweep::{sat_sweep, SweepOptions, SweepResult};
 pub use tseitin::{encode_to_cnf, SatEncoder};
-pub use unroll::{unroll, InputMode, Unrolled};
+pub use unroll::unroll;
 pub use vcd::{dump_counterexample, WaveRecorder};
 pub use verilog::write_verilog;
 pub use word::Word;

@@ -5,8 +5,7 @@
 //! gives a variable must take its simulated value in every model.
 
 use fmaverify_netlist::{
-    parse_aiger, sat_sweep, unroll, write_aiger, BitSim, InputMode, Netlist, SatEncoder, Signal,
-    SweepOptions,
+    parse_aiger, sat_sweep, unroll, write_aiger, BitSim, Netlist, SatEncoder, Signal, SweepOptions,
 };
 use fmaverify_sat::{SolveResult, Solver};
 use proptest::prelude::*;
@@ -197,10 +196,10 @@ proptest! {
     #[test]
     fn unroll_of_registered_netlist_matches_stepping(
         recipes in arb_netlist(NUM_INPUTS, 24),
-        pattern in prop::collection::vec(0u32..(1 << NUM_INPUTS), 4),
+        held in 0u32..(1 << NUM_INPUTS),
     ) {
         // Wrap the random logic's outputs into a register loop: state' =
-        // f(state, inputs), observing one output per cycle.
+        // f(state, inputs), observing one output.
         let mut n = Netlist::new();
         let inputs: Vec<Signal> = (0..NUM_INPUTS).map(|i| n.input(format!("x{i}"))).collect();
         let regs: Vec<Signal> = (0..3).map(|_| n.latch(false)).collect();
@@ -223,30 +222,21 @@ proptest! {
         let obs = pool[pool.len() - 4 % pool.len().max(1)];
         n.output("obs", obs);
 
-        // Sequential stepping.
+        // Stepping with the input vector held: after `k - 1` clocks the
+        // simulator shows cycle `k - 1`, which is what `unroll(&n, k)`
+        // declares `obs` as.
         let mut sim = BitSim::new(&n);
-        let mut seq = Vec::new();
-        for &bits in &pattern {
-            for (i, &sig) in inputs.iter().enumerate() {
-                sim.set(sig, bits >> i & 1 == 1);
-            }
-            sim.eval();
-            seq.push(sim.get(obs));
-            sim.step();
+        for (i, &sig) in inputs.iter().enumerate() {
+            sim.set(sig, held >> i & 1 == 1);
         }
-
-        // Unrolled evaluation.
-        let u = unroll(&n, pattern.len(), InputMode::FreshPerCycle);
-        let mut named: Vec<(String, bool)> = Vec::new();
-        for (c, &bits) in pattern.iter().enumerate() {
-            for i in 0..NUM_INPUTS {
-                named.push((format!("x{i}@{c}"), bits >> i & 1 == 1));
-            }
-        }
+        sim.eval();
+        let named: Vec<(String, bool)> =
+            (0..NUM_INPUTS).map(|i| (format!("x{i}"), held >> i & 1 == 1)).collect();
         let refs: Vec<(&str, bool)> = named.iter().map(|(s, b)| (s.as_str(), *b)).collect();
-        let outs_map = u.netlist.eval_comb(&refs);
-        for (c, &expect) in seq.iter().enumerate() {
-            prop_assert_eq!(outs_map[&format!("obs@{c}")], expect, "cycle {}", c);
+        for k in 1..=4 {
+            let u = unroll(&n, k);
+            prop_assert_eq!(u.eval_comb(&refs)["obs"], sim.get(obs), "{} cycles", k);
+            sim.step();
         }
     }
 }

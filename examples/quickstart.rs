@@ -7,7 +7,7 @@ use fmaverify::{
     build_harness, check_miter_bdd_parts, prove_multiplier_soundness, BddEngineOptions, CaseId,
     HarnessOptions, ShaCase,
 };
-use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
+use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, MultiplierMode};
 use fmaverify_netlist::BitSim;
 use fmaverify_softfloat::{FpFormat, RoundingMode};
 
@@ -86,7 +86,7 @@ fn main() {
 
     // 4. Discharge the isolation soundness obligation for the real
     //    multiplier.
-    let soundness = prove_multiplier_soundness(&cfg, &[]);
+    let soundness = prove_multiplier_soundness(&cfg, &[], MultiplierMode::Real);
     println!(
         "soundness: multiplier property {} ({} of {} FPU gates in cone, {:?})",
         if soundness.holds { "PROVED" } else { "REFUTED" },

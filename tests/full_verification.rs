@@ -7,7 +7,7 @@ use fmaverify::{
     enumerate_cases, prove_completeness, prove_multiplier_soundness, EngineKind, HarnessOptions,
     RunConfig, Session,
 };
-use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp};
+use fmaverify_fpu::{DenormalMode, FpuConfig, FpuOp, MultiplierMode};
 use fmaverify_softfloat::FpFormat;
 
 fn tiny(denormals: DenormalMode) -> FpuConfig {
@@ -76,7 +76,7 @@ fn fma_verifies_at_micro_format() {
 #[test]
 fn soundness_obligation_holds() {
     for mode in [DenormalMode::FlushToZero, DenormalMode::FullIeee] {
-        let r = prove_multiplier_soundness(&tiny(mode), &[]);
+        let r = prove_multiplier_soundness(&tiny(mode), &[], MultiplierMode::Real);
         assert!(r.holds);
         assert!(r.cone_ands < r.full_fpu_ands);
     }
@@ -116,9 +116,7 @@ fn pipelined_implementation_agrees_with_reference_by_simulation() {
     // The sequential (three-stage, clock-gated) implementation is validated
     // against the combinational reference by stepping the netlist — the
     // "portable to simulation" leg of the methodology.
-    use fmaverify_fpu::{
-        build_impl_fpu, build_ref_fpu, FpuInputs, MultiplierMode, PipelineMode, ProductSource,
-    };
+    use fmaverify_fpu::{build_impl_fpu, build_ref_fpu, FpuInputs, PipelineMode, ProductSource};
     use fmaverify_netlist::{BitSim, Netlist};
     use rand::{Rng, SeedableRng};
 
